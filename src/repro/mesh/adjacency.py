@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import MeshConnectivityError
+from .rowkeys import fits_int64, run_starts, unique_rows
 
 __all__ = ["AdjacencyList", "csr_gather", "edges_from_cells"]
 
@@ -110,38 +111,42 @@ class AdjacencyList:
             raise MeshConnectivityError("edges must be an (m, 2) array")
         if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n_vertices):
             raise MeshConnectivityError("edge endpoints out of range")
-        # Drop self loops and canonicalise before deduplication.
-        keep = edge_arr[:, 0] != edge_arr[:, 1]
-        edge_arr = edge_arr[keep]
-        lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-        hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        unique = np.unique(np.stack([lo, hi], axis=1), axis=0) if edge_arr.size else edge_arr
-        # Symmetrise: each undirected edge produces two directed entries.
-        if unique.size:
-            src = np.concatenate([unique[:, 0], unique[:, 1]])
-            dst = np.concatenate([unique[:, 1], unique[:, 0]])
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        # Canonical CSR form: rows sorted ascending.  ``relabeled`` emits the
-        # same form, so a permuted cache is indistinguishable from a rebuild
-        # (identical downstream tie-breaking either way).
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        counts = np.bincount(src, minlength=n_vertices)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return cls(indptr, dst)
+        edge_arr = edge_arr[edge_arr[:, 0] != edge_arr[:, 1]]
+        n = _check_packable(n_vertices)
+        m = edge_arr.shape[0]
+        # Each undirected edge produces two directed keys ``src * n + dst``.
+        keys = np.empty(2 * m, dtype=np.int64)
+        _write_key(keys[:m], edge_arr[:, 0], edge_arr[:, 1], n)
+        _write_key(keys[m:], edge_arr[:, 1], edge_arr[:, 0], n)
+        return cls._from_sorted_pairs(n, *_unique_directed(keys, n))
 
     @classmethod
     def from_cells(cls, n_vertices: int, cells: np.ndarray) -> "AdjacencyList":
         """Build the adjacency implied by the edges of polyhedral cells.
 
         ``cells`` is an ``(m, k)`` array where ``k`` is 3 (triangles),
-        4 (tetrahedra) or 8 (hexahedra).
+        4 (tetrahedra) or 8 (hexahedra).  The CSR comes straight from one
+        sorted array of packed directed edge keys: no ``(m, 2)`` edge list
+        is materialised or deduplicated on the way.
         """
-        edges = edges_from_cells(cells)
-        return cls.from_edges(n_vertices, edges)
+        cell_arr = _cell_array(cells)
+        if cell_arr.size and (cell_arr.min() < 0 or cell_arr.max() >= n_vertices):
+            raise MeshConnectivityError("edge endpoints out of range")
+        n = _check_packable(n_vertices)
+        # The key array is handed over without a name in this frame, so
+        # ``_unique_directed`` frees it as soon as it has been deduplicated.
+        return cls._from_sorted_pairs(n, *_unique_directed(_directed_edge_keys(cell_arr, n), n))
+
+    @classmethod
+    def _from_sorted_pairs(cls, n_vertices: int, src: np.ndarray, dst: np.ndarray) -> "AdjacencyList":
+        """CSR from distinct directed ``(src, dst)`` pairs sorted by source,
+        then destination: the canonical CSR form, which ``relabeled`` and
+        ``spliced`` emit too, so a carried cache is indistinguishable from a
+        rebuild (identical downstream tie-breaking either way)."""
+        counts = np.bincount(src, minlength=n_vertices)
+        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(indptr, dst)
 
     @classmethod
     def from_neighbor_lists(cls, neighbor_lists: Sequence[Iterable[int]]) -> "AdjacencyList":
@@ -219,6 +224,41 @@ class AdjacencyList:
         order = np.argsort(row_of_entry * np.int64(self.n_vertices) + indices, kind="stable")
         return AdjacencyList(indptr, indices[order])
 
+    def spliced(self, n_vertices: int, cells: np.ndarray, dirty_ids: np.ndarray) -> "AdjacencyList":
+        """Return the adjacency of ``cells`` by splicing this one, not rebuilding.
+
+        ``self`` is the adjacency of an earlier cell array over the first
+        ``self.n_vertices`` ids; ``cells`` (over ``n_vertices`` ids, the new
+        ones appended) differs from it by removed and added cells whose
+        vertices all lie in ``dirty_ids`` — the dirty set of a
+        :class:`~repro.core.delta.TopologyDelta`.  An edge can only appear or
+        vanish between two vertices of such a cell, so the row of every
+        vertex outside the dirty set is copied as it is, and only the dirty
+        rows are rebuilt, from the cells that touch a dirty vertex.  The
+        result equals :meth:`from_cells` on ``cells`` bit for bit.
+        """
+        n_old = self.n_vertices
+        if n_vertices < n_old:
+            raise MeshConnectivityError("a splice cannot drop vertices")
+        cell_arr = _cell_array(cells)
+        n = _check_packable(n_vertices)
+        dirty = np.zeros(n_vertices, dtype=bool)
+        dirty[np.asarray(dirty_ids, dtype=np.int64)] = True
+        dirty[n_old:] = True  # appended vertices have no old row to copy
+        touching = cell_arr[dirty[cell_arr].any(axis=1)]
+        keys = _directed_edge_keys(touching, n)
+        src, dst = _unique_directed(keys[dirty[keys // n]], n)
+        old_counts = np.diff(self.indptr)
+        counts = np.bincount(src, minlength=n_vertices)
+        counts[:n_old] += np.where(dirty[:n_old], 0, old_counts)
+        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        rebuilt = np.repeat(dirty, counts)
+        indices[rebuilt] = dst
+        indices[~rebuilt] = self.indices[np.repeat(~dirty[:n_old], old_counts)]
+        return AdjacencyList(indptr, indices)
+
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the CSR arrays in bytes."""
         return int(self.indptr.nbytes + self.indices.nbytes)
@@ -228,18 +268,70 @@ def edges_from_cells(cells: np.ndarray) -> np.ndarray:
     """Expand polyhedral cells into their unique undirected edges.
 
     Supports triangles (3 vertices), tetrahedra (4) and hexahedra (8).
+    Returns the ``(lo, hi)`` rows in lexicographic order.
     """
-    cell_arr = np.asarray(cells, dtype=np.int64)
+    cell_arr = _cell_array(cells)
     if cell_arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
+    pattern = np.asarray(_EDGE_PATTERNS[cell_arr.shape[1]], dtype=np.int64)
+    edges = cell_arr[:, pattern].reshape(-1, 2)
+    edges.sort(axis=1)
+    first, _ = unique_rows(edges)
+    return edges[first]
+
+
+def _cell_array(cells: np.ndarray) -> np.ndarray:
+    """``cells`` as an ``(m, k)`` int64 array of a supported arity."""
+    cell_arr = np.asarray(cells, dtype=np.int64)
+    if cell_arr.size == 0:
+        return cell_arr.reshape(0, cell_arr.shape[-1] if cell_arr.ndim == 2 else 0)
     if cell_arr.ndim != 2:
         raise MeshConnectivityError("cells must be a 2-D array")
-    k = cell_arr.shape[1]
-    if k not in _EDGE_PATTERNS:
-        raise MeshConnectivityError(f"unsupported cell arity {k}; expected 3, 4 or 8")
-    pattern = np.asarray(_EDGE_PATTERNS[k], dtype=np.int64)
-    edges = cell_arr[:, pattern]          # (m, n_edges_per_cell, 2)
-    edges = edges.reshape(-1, 2)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    if cell_arr.shape[1] not in _EDGE_PATTERNS:
+        raise MeshConnectivityError(
+            f"unsupported cell arity {cell_arr.shape[1]}; expected 3, 4 or 8"
+        )
+    return cell_arr
+
+
+def _check_packable(n_vertices: int) -> int:
+    n = int(n_vertices)
+    if not fits_int64(n, 2):
+        raise MeshConnectivityError(f"{n} vertices overflow the int64 edge keys")
+    return n
+
+
+def _write_key(out: np.ndarray, src: np.ndarray, dst: np.ndarray, n: int) -> None:
+    np.multiply(src, n, out=out)
+    out += dst
+
+
+def _directed_edge_keys(cell_arr: np.ndarray, n: int) -> np.ndarray:
+    """Packed keys ``src * n + dst`` of both directions of every cell edge.
+
+    Written one edge slot at a time into a single int64 array: peak memory
+    is the key array itself, not an ``(m, edges_per_cell, 2)`` pair stack.
+    """
+    if cell_arr.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    pattern = _EDGE_PATTERNS[cell_arr.shape[1]]
+    keys = np.empty((2 * len(pattern), cell_arr.shape[0]), dtype=np.int64)
+    for slot, (i, j) in enumerate(pattern):
+        _write_key(keys[2 * slot], cell_arr[:, i], cell_arr[:, j], n)
+        _write_key(keys[2 * slot + 1], cell_arr[:, j], cell_arr[:, i], n)
+    return keys.reshape(-1)
+
+
+def _unique_directed(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(src, dst)`` pairs of packed directed keys, sorted, without
+    self loops.  ``keys`` is sorted in place."""
+    if keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    keys.sort()
+    keys = keys[run_starts(keys)]
+    src, dst = np.divmod(keys, n)
+    loops = src == dst
+    if loops.any():
+        src, dst = src[~loops], dst[~loops]
+    return src, dst

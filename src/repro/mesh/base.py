@@ -9,8 +9,10 @@ A mesh couples three things:
   the crawl and the surface extraction used by the surface index.
 
 Connectivity only depends on the cell array, so deforming the mesh (changing
-positions) never invalidates it; restructuring the mesh (changing cells) does,
-and :meth:`PolyhedralMesh.replace_cells` invalidates the caches accordingly.
+positions) never invalidates it; restructuring the mesh (changing cells) does.
+:meth:`PolyhedralMesh.replace_cells` drops the caches;
+:meth:`PolyhedralMesh.restructure` can instead take over a surface the caller
+already extracted and splice the adjacency through the event's dirty set.
 """
 
 from __future__ import annotations
@@ -199,7 +201,13 @@ class PolyhedralMesh:
         self._surface = None
         self.connectivity_version += 1
 
-    def restructure(self, vertices: np.ndarray, cells: np.ndarray) -> None:
+    def restructure(
+        self,
+        vertices: np.ndarray,
+        cells: np.ndarray,
+        surface: Optional[SurfaceExtraction] = None,
+        dirty_ids: Optional[np.ndarray] = None,
+    ) -> None:
         """Replace vertices *and* cells in place (restructuring that adds vertices).
 
         Cell splits insert new vertices, which :meth:`replace_cells` alone
@@ -217,6 +225,17 @@ class PolyhedralMesh:
         must then re-read it, which the execution strategies do in their
         ``on_restructure`` (the tree strategies re-bind explicitly, everything
         else fetches ``mesh.vertices`` per call).
+
+        The caller may hand over the substrate it already holds, so the new
+        connectivity is not derived again from the cells on its next use:
+
+        * ``surface`` — the extraction of ``cells``, kept as the surface
+          cache instead of being re-extracted;
+        * ``dirty_ids`` — a vertex set containing every vertex of every cell
+          removed or added (the dirty set of a
+          :class:`~repro.core.delta.TopologyDelta`).  If the adjacency was
+          already built, the new one is spliced from it
+          (:meth:`AdjacencyList.spliced`); otherwise it stays lazy.
         """
         vertex_arr = np.ascontiguousarray(vertices, dtype=np.float64)
         if vertex_arr.ndim != 2 or vertex_arr.shape[1] != 3:
@@ -226,13 +245,16 @@ class PolyhedralMesh:
             raise MeshError("replacement cells have the wrong shape")
         if cell_arr.size and (cell_arr.min() < 0 or cell_arr.max() >= vertex_arr.shape[0]):
             raise MeshConnectivityError("replacement cell vertex ids out of range")
+        adjacency = None
+        if dirty_ids is not None and self._adjacency is not None:
+            adjacency = self._adjacency.spliced(vertex_arr.shape[0], cell_arr, dirty_ids)
         if vertex_arr.shape == self._vertices.shape:
             self._vertices[...] = vertex_arr
         else:
             self._vertices = vertex_arr
         self._cells = cell_arr
-        self._adjacency = None
-        self._surface = None
+        self._adjacency = adjacency
+        self._surface = surface
         self.connectivity_version += 1
         self.geometry_version += 1
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..errors import MeshError
 from .base import PolyhedralMesh
+from .rowkeys import unique_rows
 from .tetrahedral import TetrahedralMesh
 
 __all__ = ["MeshValidationReport", "validate_mesh", "density_statistics", "quality_statistics"]
@@ -67,9 +68,8 @@ def validate_mesh(mesh: PolyhedralMesh) -> MeshValidationReport:
 
     n_duplicates = 0
     if mesh.n_cells:
-        canonical = np.sort(mesh.cells, axis=1)
-        unique = np.unique(canonical, axis=0)
-        n_duplicates = int(mesh.n_cells - unique.shape[0])
+        first_index, _ = unique_rows(np.sort(mesh.cells, axis=1), mesh.n_vertices)
+        n_duplicates = int(mesh.n_cells - first_index.size)
         if n_duplicates:
             issues.append(f"{n_duplicates} duplicate cells")
 

@@ -214,17 +214,29 @@ def split_cells_inplace(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> Restruct
     :meth:`~repro.mesh.base.PolyhedralMesh.restructure`, bumping the
     connectivity version) and the event — delta included — is returned, ready
     to be handed to every strategy's ``on_restructure``.
+
+    The live mesh also takes over the substrate the operation already holds:
+    the surface extracted for ``event.surface_vertices_after`` becomes its
+    surface cache, and a built adjacency is spliced through the delta's dirty
+    set instead of being dropped (see ``PolyhedralMesh.restructure``).
     """
     new_mesh, event = split_cells(mesh, cell_ids)
-    mesh.restructure(new_mesh.vertices, new_mesh.cells)
+    _hand_over(mesh, new_mesh, event)
     return event
 
 
 def remove_cells_inplace(mesh: TetrahedralMesh, cell_ids: np.ndarray) -> RestructuringEvent:
-    """Remove cells from the live mesh: :func:`remove_cells` applied in place."""
+    """Remove cells from the live mesh: :func:`remove_cells` applied in place,
+    handing over the substrate like :func:`split_cells_inplace`."""
     new_mesh, event = remove_cells(mesh, cell_ids)
-    mesh.restructure(new_mesh.vertices, new_mesh.cells)
+    _hand_over(mesh, new_mesh, event)
     return event
+
+
+def _hand_over(mesh: PolyhedralMesh, new_mesh: PolyhedralMesh, event: RestructuringEvent) -> None:
+    mesh.restructure(
+        new_mesh.vertices, new_mesh.cells, surface=new_mesh.surface, dirty_ids=event.delta.dirty_ids
+    )
 
 
 def periodic_restructuring(

@@ -116,3 +116,27 @@ class TestRelabel:
         adj = AdjacencyList.from_edges(3, np.array([[0, 1]]))
         with pytest.raises(MeshConnectivityError):
             adj.relabeled(np.array([0, 0, 1]))
+
+
+class TestBuildMemory:
+    def test_from_cells_peak_is_a_small_multiple_of_the_key_array(self):
+        # The build writes one int64 key per directed cell edge and sorts
+        # that array in place; stacking (m, k, 2) endpoint pairs, or a
+        # row-wise np.unique, would allocate several times more.
+        import tracemalloc
+
+        from repro.generators import structured_tetrahedral_mesh
+
+        mesh = structured_tetrahedral_mesh((10, 10, 10))
+        cells = np.ascontiguousarray(mesh.cells)
+        assert 5_000 <= cells.shape[0] <= 10_000
+        key_bytes = cells.shape[0] * 6 * 2 * 8  # 6 edges per tetrahedron, 2 directions
+        AdjacencyList.from_cells(mesh.n_vertices, cells)  # warm any lazy imports
+        tracemalloc.start()
+        try:
+            adjacency = AdjacencyList.from_cells(mesh.n_vertices, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adjacency.indices.size > 0
+        assert peak <= 2 * key_bytes, (peak, key_bytes)

@@ -41,6 +41,7 @@ from repro.core import OctopusConExecutor, TopologyDelta
 from repro.errors import SimulationError
 from repro.experiments.harness import make_strategy, per_step_workload_provider
 from repro.generators import structured_tetrahedral_mesh
+from repro.mesh import AdjacencyList, extract_surface, hilbert_relabel
 from repro.simulation import (
     LocalizedPulseDeformation,
     MeshSimulation,
@@ -51,6 +52,7 @@ from repro.simulation import (
     split_cells_inplace,
 )
 from repro.workloads import random_query_workload
+from seed_families import parity_seed_family
 
 N_STEPS = 6
 #: steps at which the parity scenarios restructure (even steps, which for the
@@ -422,3 +424,79 @@ class TestSimulatorIntegration:
             periodic_restructuring(kind="merge")
         with pytest.raises(SimulationError):
             periodic_restructuring(n_cells=0)
+
+
+def _assert_substrate_is_fresh(mesh) -> None:
+    """The carried surface and the spliced CSR equal fresh builds from the cells."""
+    want_surface = extract_surface(mesh.cells)
+    surface = mesh.surface
+    assert np.array_equal(surface.surface_vertices, want_surface.surface_vertices)
+    assert np.array_equal(surface.surface_faces, want_surface.surface_faces)
+    assert surface.n_faces_total == want_surface.n_faces_total
+    want_adjacency = AdjacencyList.from_cells(mesh.n_vertices, mesh.cells)
+    assert np.array_equal(mesh.adjacency.indptr, want_adjacency.indptr)
+    assert np.array_equal(mesh.adjacency.indices, want_adjacency.indices)
+
+
+class TestCarriedSubstrate:
+    """``split_cells_inplace``/``remove_cells_inplace`` hand the live mesh the
+    surface they extracted and a CSR spliced through the delta's dirty set;
+    after every event both must equal a fresh build from the cells."""
+
+    @staticmethod
+    def _chain(mesh, scenario: str, seed: int, n_events: int = 8) -> None:
+        rng = np.random.default_rng(seed)
+        for event in range(n_events):
+            operation = scenario if scenario != "mixed" else ("split", "remove")[event % 2]
+            count = int(rng.integers(1, 6))
+            if rng.random() < 0.5:  # a contiguous clump, else scattered cells
+                offset = int(rng.integers(0, mesh.n_cells - count + 1))
+                cell_ids = np.arange(offset, offset + count)
+            else:
+                cell_ids = rng.choice(mesh.n_cells, size=count, replace=False)
+            if operation == "split":
+                split_cells_inplace(mesh, cell_ids)
+            else:
+                remove_cells_inplace(mesh, cell_ids)
+            assert mesh._adjacency is not None  # spliced, not left lazy
+            _assert_substrate_is_fresh(mesh)
+
+    @pytest.mark.parametrize("seed", parity_seed_family())
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_chained_events_match_fresh_builds(self, scenario, seed):
+        mesh = _make_mesh()
+        mesh.adjacency
+        self._chain(mesh, scenario, seed)
+
+    @pytest.mark.parametrize("seed", parity_seed_family())
+    def test_chain_after_hilbert_relabel(self, seed):
+        mesh = structured_tetrahedral_mesh((4, 4, 4))
+        mesh.adjacency
+        mesh.surface
+        relabeled = hilbert_relabel(mesh)
+        assert relabeled._adjacency is not None  # the relabel carried the CSR
+        self._chain(relabeled, "mixed", seed)
+
+    def test_removal_isolating_vertices(self):
+        mesh = _make_mesh()
+        mesh.adjacency
+        interior = int(np.argmax(np.bincount(mesh.cells.ravel())))  # highest cell degree
+        around = np.flatnonzero((mesh.cells == interior).any(axis=1))
+        remove_cells_inplace(mesh, around)
+        assert mesh.adjacency.degree(interior) == 0
+        _assert_substrate_is_fresh(mesh)
+        # A later split leaves it isolated.
+        split_cells_inplace(mesh, np.arange(3))
+        assert mesh.adjacency.degree(interior) == 0
+        _assert_substrate_is_fresh(mesh)
+
+    def test_unbuilt_csr_stays_lazy(self):
+        mesh = _make_mesh()
+        split_cells_inplace(mesh, np.arange(3))
+        remove_cells_inplace(mesh, np.arange(5, 9))
+        assert mesh._adjacency is None  # nothing to splice from: still lazy
+        assert mesh._surface is not None  # the extraction was carried
+        _assert_substrate_is_fresh(mesh)  # builds the CSR here
+        split_cells_inplace(mesh, np.arange(10, 12))
+        assert mesh._adjacency is not None
+        _assert_substrate_is_fresh(mesh)
