@@ -9,7 +9,7 @@ of a single-start crawl versus the full OCTOPUS surface probe on the neuron
 
 from conftest import run_once
 
-from repro.core import OctopusExecutor, crawl
+from repro.core import OctopusExecutor, crawl_many
 from repro.experiments import neuron_largest
 from repro.workloads import random_query_workload
 
@@ -27,7 +27,7 @@ def _rows(profile, n_queries=12, selectivity=0.002, seed=0):
         if full.n_results == 0:
             total_recall += 1.0
             continue
-        single = crawl(mesh, box, full.vertex_ids[:1])
+        single = crawl_many(mesh, [box], [full.vertex_ids[:1]]).outcomes[0]
         recall = single.result_ids.size / full.n_results
         total_recall += recall
         if single.result_ids.size < full.n_results:

@@ -1,4 +1,4 @@
-"""Raw-speed-tier benchmark: layout x backend x dtype kernel cells.
+"""Raw-speed-tier benchmark: layout x backend kernel cells.
 
 Measures the two compiled-kernel hot paths (the fused crawl frontier
 expansion and the fused directed-walk distance kernel) over every
@@ -6,10 +6,9 @@ combination of
 
 * **vertex layout** — ``native`` (generator order), ``hilbert`` (the
   locality relabel pass) and ``random`` (an adversarial shuffle);
-* **kernel backend spec** — ``numpy`` (the float64 reference),
-  ``numba`` (the compiled backend; falls back to NumPy when the JIT is
-  not installed, recorded honestly via ``numba_available``) and
-  ``numpy:float32`` (the reduced-precision positions mode).
+* **kernel backend spec** — ``numpy`` (the reference) and ``numba`` (the
+  compiled backend; falls back to NumPy when the JIT is not installed,
+  recorded honestly via ``numba_available``).
 
 Each cell records crawl throughput (attributed vertex visits per second),
 walk throughput (attributed distance computations per second) and the
@@ -71,7 +70,7 @@ PROFILE_SHAPES = {
 }
 
 LAYOUTS = ("native", "hilbert", "random")
-BACKEND_SPECS = ("numpy", "numba", "numpy:float32")
+BACKEND_SPECS = ("numpy", "numba")
 
 N_CRAWL_QUERIES = 16
 N_WALK_QUERIES = 16

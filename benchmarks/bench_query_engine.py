@@ -4,17 +4,18 @@ Measures, on the fig05-style point-query workload (small boxes centred on
 random mesh vertices, microbenchmark-B selectivity):
 
 * **batched vs. sequential** — ``OctopusExecutor.query_many(boxes)`` against
-  the equivalent sequential ``query(box)`` loop (same executor, same boxes);
-* **scratch vs. naive crawl** — crawls reusing one :class:`CrawlScratch`
-  arena against crawls paying a fresh O(n_vertices) visited allocation per
-  query;
+  the equivalent loop of width-1 ``query(box)`` calls (same executor, same
+  boxes);
+* **scratch vs. naive crawl** — width-1 ``crawl_many`` calls reusing one
+  :class:`CrawlScratch` arena against width-1 calls paying a fresh
+  O(n_vertices) visited allocation per query;
 * **fused vs. sequential crawl** — one shared-frontier ``crawl_many`` over an
-  overlapping-box batch against the equivalent per-box ``crawl`` loop (both
-  sides reusing a scratch arena), plus the fused work reduction (unique vs.
-  attributed vertex visits);
+  overlapping-box batch against the equivalent loop of width-1 ``crawl_many``
+  calls (both sides reusing a scratch arena), plus the fused work reduction
+  (unique vs. attributed vertex visits);
 * **fused vs. sequential walk** — one lockstep ``directed_walk_many`` over an
-  overlapping batch of interior boxes against the equivalent per-box
-  ``directed_walk`` loop, plus the walk-phase work sharing;
+  overlapping batch of interior boxes against the equivalent loop of width-1
+  ``directed_walk_many`` calls, plus the walk-phase work sharing;
 * **sparse deformation maintenance** — delta-keyed incremental maintenance
   (``on_step(delta)`` with an explicit moved set) against the full-recompute
   reference (the same strategy driven with ``delta.as_full()``), for
@@ -75,9 +76,7 @@ from repro.core import (  # noqa: E402
     OctopusConExecutor,
     OctopusExecutor,
     ResilientStrategy,
-    crawl,
     crawl_many,
-    directed_walk,
     directed_walk_many,
 )
 from repro.experiments.datasets import neuron_largest  # noqa: E402
@@ -187,13 +186,13 @@ def bench_scratch_vs_naive_crawl(mesh, boxes) -> dict:
 
     def naive():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts)  # fresh O(n_vertices) arena per call
+            crawl_many(mesh, [box], [starts])  # fresh O(n_vertices) arena per call
 
     scratch = CrawlScratch()
 
     def reused():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts, scratch=scratch)
+            crawl_many(mesh, [box], [starts], scratch=scratch)
 
     naive_time, scratch_time = _best_of_interleaved(N_ROUNDS, naive, reused)
     return {
@@ -222,7 +221,7 @@ def bench_fused_vs_sequential_crawl(mesh) -> dict:
 
     def sequential():
         for box, starts in zip(boxes, start_sets):
-            crawl(mesh, box, starts, scratch=sequential_scratch)
+            crawl_many(mesh, [box], [starts], scratch=sequential_scratch)
 
     fused_scratch = CrawlScratch()
 
@@ -233,7 +232,7 @@ def bench_fused_vs_sequential_crawl(mesh) -> dict:
 
     batch = crawl_many(mesh, boxes, start_sets, scratch=fused_scratch)
     independent = [
-        crawl(mesh, box, starts, scratch=sequential_scratch)
+        crawl_many(mesh, [box], [starts], scratch=sequential_scratch).outcomes[0]
         for box, starts in zip(boxes, start_sets)
     ]
     assert all(
@@ -278,7 +277,7 @@ def bench_fused_vs_sequential_walk(mesh) -> dict:
 
     def sequential():
         for box in boxes:
-            directed_walk(mesh, box, start, scratch=sequential_scratch)
+            directed_walk_many(mesh, [box], [start], scratch=sequential_scratch)
 
     fused_scratch = CrawlScratch()
 
@@ -289,7 +288,8 @@ def bench_fused_vs_sequential_walk(mesh) -> dict:
 
     batch = directed_walk_many(mesh, boxes, starts, scratch=fused_scratch)
     independent = [
-        directed_walk(mesh, box, start, scratch=sequential_scratch) for box in boxes
+        directed_walk_many(mesh, [box], [start], scratch=sequential_scratch).outcomes[0]
+        for box in boxes
     ]
     assert all(
         a.found_id == b.found_id and a.n_steps == b.n_steps

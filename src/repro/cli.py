@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         default=None,
         metavar="SPEC",
-        help="kernel backend spec for the batched hot loops, e.g. 'numba' or "
-        "'numpy:float32' (sets REPRO_KERNEL_BACKEND for the run; numba "
+        help="kernel backend spec for the batched hot loops, 'numpy' or "
+        "'numba' (sets REPRO_KERNEL_BACKEND for the run; numba "
         "falls back to numpy when not installed)",
     )
     return parser

@@ -2,9 +2,9 @@
 
 from .approximation import ApproximationPoint, evaluate_surface_approximation
 from .cost_model import CostModel, calibrate_cost_model
-from .crawler import BatchCrawlOutcome, CrawlOutcome, crawl, crawl_many
+from .crawler import BatchCrawlOutcome, CrawlOutcome, crawl_many
 from .delta import DeformationDelta, TopologyDelta
-from .directed_walk import BatchWalkOutcome, WalkOutcome, directed_walk, directed_walk_many
+from .directed_walk import BatchWalkOutcome, WalkOutcome, directed_walk_many
 from .executor import ExecutionStrategy, StrategyWrapper
 from .octopus import OctopusExecutor
 from .octopus_con import OctopusConExecutor
@@ -53,9 +53,7 @@ __all__ = [
     "calibrate_cost_model",
     "check_query_box",
     "check_query_boxes",
-    "crawl",
     "crawl_many",
-    "directed_walk",
     "directed_walk_many",
     "evaluate_surface_approximation",
     "validate_delta",

@@ -15,22 +15,28 @@ work counters) is identical.
 
 Per-query memory is O(frontier + result) when the caller supplies a
 :class:`~repro.core.scratch.CrawlScratch`: the visited test uses the scratch's
-epoch-stamped arena instead of a fresh O(n_vertices) bitmap, so repeated
+epoch-stamped batch arena instead of a fresh O(n_vertices) bitmap, so repeated
 queries on a prepared executor never pay a dataset-size allocation.
 
-:func:`crawl_many` fuses a whole *batch* of crawls into one shared-frontier
-BFS: each vertex carries a row of ``uint64`` ownership words — bit ``q % 64``
-of word ``q // 64`` means "in query ``q``'s BFS" — and every level expands the
-*union* frontier with a single CSR gather, a single deduplication, and a
-single broadcasted position test.  The word axis widens with the batch, so a
+:func:`crawl_many` is the only crawl entry point.  It fuses a whole *batch*
+of crawls into one shared-frontier BFS: each vertex carries a row of
+``uint64`` ownership words — bit ``q % 64`` of word ``q // 64`` means "in
+query ``q``'s BFS" — and every level expands the *union* frontier with a
+single CSR gather, a single deduplication, and a single broadcasted position
+test.  The word axis widens with the batch, so a
 single fused crawl serves arbitrarily large batches (there is no 64-query
 grouping).  Overlapping boxes share the work of walking the same mesh region,
 while the ownership bitmask keeps per-query counters exactly attributable:
 each query's reported vertex visits and edge follows are bit-identical to
-what an independent :func:`crawl` would have counted, and they sum to the
-batch's attributed work (each fused operation counted once per owning query).
-The *unique* fused work — the operations the machine actually performed — is
+what a width-1 call for that query alone counts, and they sum to the batch's
+attributed work (each fused operation counted once per owning query).  The
+*unique* fused work — the operations the machine actually performed — is
 reported separately and is never larger than the attributed total.
+
+A width-1 batch takes a short one-query branch (:func:`_crawl_one`): with a
+single owner there is no ownership to track, so the branch skips the bitset
+plumbing and dedups with a plain ``np.unique``.  It is the reference the
+parity suites hold the batched per-query counters to.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .scratch import CrawlScratch
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
     from .resilience import BudgetTracker
 
-__all__ = ["crawl", "crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
+__all__ = ["crawl_many", "CrawlOutcome", "BatchCrawlOutcome"]
 
 #: queries per ownership word (the bit width of one uint64); batches larger
 #: than this widen the per-vertex ownership row instead of being chunked
@@ -96,111 +102,6 @@ class CrawlOutcome:
         self.complete = complete
 
 
-def _gather_neighbors(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    frontier: np.ndarray,
-    scratch: CrawlScratch | None = None,
-    return_counts: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """All neighbour ids of the frontier vertices (with duplicates).
-
-    With ``return_counts`` the per-frontier-vertex neighbour counts (vertex
-    degrees) are returned alongside, in frontier order — the fused crawl uses
-    them to attribute the shared gather to the owning queries.
-    """
-    neighbors, counts = csr_gather(
-        indptr, indices, frontier, ramp=scratch.iota if scratch is not None else None
-    )
-    return (neighbors, counts) if return_counts else neighbors
-
-
-def crawl(
-    mesh: PolyhedralMesh,
-    box: Box3D,
-    start_vertices: np.ndarray,
-    counters: QueryCounters | None = None,
-    scratch: CrawlScratch | None = None,
-    budget: "BudgetTracker | None" = None,
-) -> CrawlOutcome:
-    """Breadth-first crawl of the mesh restricted to the query box.
-
-    Parameters
-    ----------
-    mesh:
-        The mesh whose *current* vertex positions define "inside the box".
-    box:
-        The range query.
-    start_vertices:
-        Candidate starting vertex ids.  Vertices outside the box are filtered
-        out (they contribute position tests to the counters but are not
-        expanded), so callers may pass the raw surface-probe output.
-    counters:
-        Optional counter record updated in place.
-    scratch:
-        Reusable arena for the visited test and gather buffers.  When omitted
-        a throwaway arena is allocated, which restores the old
-        one-allocation-per-call behaviour; executors pass their own so
-        repeated queries allocate only O(frontier + result) memory.
-    budget:
-        Optional :class:`~repro.core.resilience.BudgetTracker` charged once
-        per BFS level with that level's freshly stamped vertices.  Budgets
-        bound the *next* level, never split one: the level that crosses the
-        limit is fully counted and fully collected, then the BFS stops
-        (``"partial"`` policy, outcome flagged ``complete=False``) or a
-        :class:`~repro.errors.QueryBudgetExceeded` is raised (``"raise"``).
-        The fused :func:`crawl_many` truncates at the identical point.
-    """
-    adjacency = mesh.adjacency
-    positions = mesh.vertices
-    indptr, indices = adjacency.indptr, adjacency.indices
-
-    starts = np.unique(np.asarray(start_vertices, dtype=np.int64))
-    n_vertices_visited = 0
-    n_edges_followed = 0
-    if starts.size == 0:
-        return CrawlOutcome(np.empty(0, dtype=np.int64), 0, 0)
-
-    if scratch is None:
-        scratch = CrawlScratch()
-    stamps, epoch = scratch.acquire(mesh.n_vertices)
-    stamps[starts] = epoch
-    inside_mask = points_in_box(positions[starts], box)
-    n_vertices_visited += int(starts.size)
-    frontier = starts[inside_mask]
-    collected = [frontier]
-    complete = True
-    if budget is not None and not budget.spend(vertices=int(starts.size)):
-        complete = False
-        frontier = frontier[:0]
-
-    while frontier.size:
-        scratch.check_epoch(epoch)
-        neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
-        n_edges_followed += int(neighbors.size)
-        if neighbors.size == 0:
-            break
-        candidates = np.unique(neighbors)
-        candidates = candidates[stamps[candidates] != epoch]
-        if candidates.size == 0:
-            break
-        stamps[candidates] = epoch
-        n_vertices_visited += int(candidates.size)
-        inside = points_in_box(positions[candidates], box)
-        frontier = candidates[inside]
-        if frontier.size:
-            collected.append(frontier)
-        if budget is not None and not budget.spend(vertices=int(candidates.size)):
-            complete = False
-            break
-
-    result_ids = np.sort(np.concatenate(collected)) if collected else np.empty(0, dtype=np.int64)
-    if counters is not None:
-        counters.crawl_vertices_visited += n_vertices_visited
-        counters.crawl_edges_followed += n_edges_followed
-    return CrawlOutcome(result_ids, n_vertices_visited, n_edges_followed, complete)
-
-
 class BatchCrawlOutcome:
     """Per-query outcomes of a fused crawl plus the batch's work accounting.
 
@@ -208,7 +109,7 @@ class BatchCrawlOutcome:
     ----------
     outcomes:
         One :class:`CrawlOutcome` per query, in order, bit-identical (result
-        ids and counters) to independent :func:`crawl` calls.
+        ids and counters) to width-1 :func:`crawl_many` calls.
     n_unique_vertices_visited / n_unique_edges_followed:
         The work the fused BFS actually performed: vertices stamped and edges
         gathered over *union* frontiers, each counted once no matter how many
@@ -217,12 +118,12 @@ class BatchCrawlOutcome:
         BFS level.
     n_attributed_vertex_visits / n_attributed_edge_follows:
         The same work counted once per *owning query* — exactly the sum of the
-        per-query counters, which is also what the sequential crawls would
-        have performed in total.
+        per-query counters, which is also what one width-1 crawl per query
+        would have performed in total.
     n_unique_walk_distance_computations / n_attributed_walk_distance_computations:
-        The walk-phase analogue, filled by the executors when the batch's
-        directed walks also ran fused
-        (:func:`~repro.core.directed_walk.directed_walk_many`): unique counts
+        The walk-phase analogue, filled by
+        :func:`~repro.core.directed_walk.walk_then_crawl` from the batch's
+        :func:`~repro.core.directed_walk.directed_walk_many`: unique counts
         each candidate position gathered per lockstep round once, attributed
         counts it once per walking query — exactly the sum of the per-query
         ``walk_distance_computations`` counters.  Zero when no query in the
@@ -230,10 +131,6 @@ class BatchCrawlOutcome:
     n_words:
         Width of the per-vertex ownership row (``ceil(n_queries / 64)``
         ``uint64`` words); batches beyond 64 queries take the multi-word path.
-    n_groups:
-        Number of fused BFS passes the batch required — always 1 for a
-        non-empty batch now that ownership rows widen instead of chunking
-        (kept for compatibility with earlier ≤64-query grouping).
     """
 
     __slots__ = (
@@ -245,7 +142,6 @@ class BatchCrawlOutcome:
         "n_unique_walk_distance_computations",
         "n_attributed_walk_distance_computations",
         "n_words",
-        "n_groups",
     )
 
     def __init__(self) -> None:
@@ -257,7 +153,6 @@ class BatchCrawlOutcome:
         self.n_unique_walk_distance_computations = 0
         self.n_attributed_walk_distance_computations = 0
         self.n_words = 0
-        self.n_groups = 0
 
 
 def _or_duplicates(ids: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +226,62 @@ class _OwnershipBits:
         return (rows[:, self.word_of[query_index]] & self.mask_of[query_index]) != np.uint64(0)
 
 
+def _crawl_one(
+    positions: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    box: Box3D,
+    raw_starts: np.ndarray,
+    scratch: CrawlScratch,
+    n_vertices: int,
+    budget: "BudgetTracker | None",
+) -> tuple[list[CrawlOutcome], int, int, int]:
+    """The one-query branch of the fused crawl: a plain level-wise BFS.
+
+    A single owner needs no ownership bits, so this branch dedups with
+    ``np.unique`` and marks visits in the batch arena's stamps alone.  Its
+    stamp / visit / expand sequence is the one every query of a fused batch
+    follows, so unique work equals attributed work and the counters are the
+    reference the batched ones are held to.  Budgets are charged once per
+    level, as in the fused BFS.
+    """
+    starts = np.unique(np.asarray(raw_starts, dtype=np.int64))
+    if starts.size == 0:
+        return [CrawlOutcome(np.empty(0, dtype=np.int64), 0, 0)], 0, 0, 1
+    stamps, _, epoch = scratch.acquire_batch(n_vertices)
+    stamps[starts] = epoch
+    n_visited = int(starts.size)
+    n_edges = 0
+    frontier = starts[points_in_box(positions[starts], box)]
+    collected = [frontier]
+    complete = True
+    if budget is not None and not budget.spend(vertices=n_visited):
+        complete = False
+        frontier = frontier[:0]
+
+    while frontier.size:
+        scratch.check_batch_epoch(epoch)
+        neighbors, _ = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
+        n_edges += int(neighbors.size)
+        if neighbors.size == 0:
+            break
+        candidates = np.unique(neighbors)
+        candidates = candidates[stamps[candidates] != epoch]
+        if candidates.size == 0:
+            break
+        stamps[candidates] = epoch
+        n_visited += int(candidates.size)
+        frontier = candidates[points_in_box(positions[candidates], box)]
+        if frontier.size:
+            collected.append(frontier)
+        if budget is not None and not budget.spend(vertices=int(candidates.size)):
+            complete = False
+            break
+
+    outcome = CrawlOutcome(np.sort(np.concatenate(collected)), n_visited, n_edges, complete)
+    return [outcome], n_visited, n_edges, 1
+
+
 def _crawl_fused(
     positions: np.ndarray,
     indptr: np.ndarray,
@@ -348,16 +299,16 @@ def _crawl_fused(
     Returns the per-query outcomes plus the batch's unique (fused) vertex and
     edge work and the ownership-row width in words.  The BFS is
     level-synchronised: level ``k`` of every query runs in the same iteration,
-    so each query's stamp/visit/expand sequence is exactly the one its
-    independent crawl would have executed.
+    so each query's stamp/visit/expand sequence is exactly the one
+    :func:`_crawl_one` executes for that query alone.
 
     ``kernels`` selects the stamp-and-test implementation (see
     :mod:`repro.kernels`); the default is the NumPy reference backend, and
-    every float64 backend is bit-identical to it.
+    every backend is bit-identical to it.
     """
+    n_queries = len(start_lists)
     if kernels is None:
         kernels = get_backend("numpy")
-    n_queries = len(start_lists)
     bits = _OwnershipBits(n_queries)
     zero = np.uint64(0)
     stamps, words, epoch = scratch.acquire_batch(n_vertices, bits.n_words)
@@ -377,7 +328,7 @@ def _crawl_fused(
     ) -> tuple[np.ndarray, np.ndarray]:
         """Charge each query's budget with this level's fresh visits.
 
-        Mirrors the sequential crawl exactly: the level that crosses the
+        Mirrors the one-query branch exactly: the level that crosses the
         limit is fully counted and its frontier fully collected; the
         exhausted query merely stops expanding, so its ownership bit is
         stripped from the *next* gather's frontier (the collected level
@@ -458,9 +409,7 @@ def _crawl_fused(
 
         while frontier.size:
             scratch.check_batch_epoch(epoch)
-            neighbors, degrees = _gather_neighbors(
-                indptr, indices, frontier, scratch, return_counts=True
-            )
+            neighbors, degrees = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
             # Edge attribution in frontier-axis chunks: the expanded
             # (frontier, n_queries) int64 product is the largest transient of
             # the fused crawl, so it is the most important one to bound.
@@ -512,8 +461,8 @@ def crawl_many(
     re-walking the same region once per query.  Ownership is tracked with
     multi-word per-vertex bitsets (``ceil(n_queries / 64)`` ``uint64`` words),
     so the whole batch — however large — executes as **one** fused crawl;
-    results and per-query counters are bit-identical to calling :func:`crawl`
-    once per box with the same start vertices.
+    results and per-query counters are bit-identical to one width-1 call per
+    box with the same start vertices.
 
     Parameters
     ----------
@@ -532,14 +481,18 @@ def crawl_many(
         gather buffers; a throwaway arena is allocated when omitted.
     budgets:
         Optional per-query :class:`~repro.core.resilience.BudgetTracker`
-        records (entries may be ``None``); each query truncates (or raises)
-        at exactly the BFS level its sequential :func:`crawl` would, while
-        the remaining queries keep crawling.
+        records (entries may be ``None``), charged once per BFS level with
+        that level's freshly stamped vertices.  Budgets bound the *next*
+        level, never split one: the level that crosses the limit is fully
+        counted and collected, then that query stops (``"partial"`` policy,
+        outcome flagged ``complete=False``) or raises
+        :class:`~repro.errors.QueryBudgetExceeded` (``"raise"``), while the
+        remaining queries keep crawling.
     kernels:
         Optional :class:`repro.kernels.KernelBackend` (or ``None`` for the
-        NumPy reference) running the stamp-and-test hot loop; float64
-        backends are bit-identical, the float32 mode trades boundary
-        exactness for bandwidth (see ``docs/performance.md``).
+        NumPy reference) running the stamp-and-test hot loop; every backend
+        is bit-identical.  A width-1 batch takes the one-query branch
+        (:func:`_crawl_one`), which always runs NumPy.
     """
     box_list = list(boxes)
     if len(start_lists) != len(box_list):
@@ -564,16 +517,21 @@ def crawl_many(
     positions = mesh.vertices
     indptr, indices = adjacency.indptr, adjacency.indices
 
-    los, his = boxes_to_arrays(box_list)
-    outcomes, unique_visited, unique_edges, n_words = _crawl_fused(
-        positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices, budgets,
-        kernels=kernels,
-    )
+    if len(box_list) == 1:
+        outcomes, unique_visited, unique_edges, n_words = _crawl_one(
+            positions, indptr, indices, box_list[0], start_lists[0], scratch, mesh.n_vertices,
+            budgets[0] if budgets is not None else None,
+        )
+    else:
+        los, his = boxes_to_arrays(box_list)
+        outcomes, unique_visited, unique_edges, n_words = _crawl_fused(
+            positions, indptr, indices, los, his, start_lists, scratch, mesh.n_vertices,
+            budgets, kernels=kernels,
+        )
     batch.outcomes.extend(outcomes)
     batch.n_unique_vertices_visited += unique_visited
     batch.n_unique_edges_followed += unique_edges
     batch.n_words = n_words
-    batch.n_groups = 1
 
     for outcome in batch.outcomes:
         batch.n_attributed_vertex_visits += outcome.n_vertices_visited

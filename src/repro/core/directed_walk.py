@@ -22,18 +22,20 @@ The walk also accepts multiple start vertices (multi-source): OCTOPUS-CON can
 seed it with several grid candidates and the batched query path can reuse one
 call per query box.
 
-:func:`directed_walk_many` fuses the walks of a whole query batch: all
-per-box beams advance in lockstep, so each round performs **one** CSR
-neighbour gather over the union of the active frontiers and **one**
-vectorised distance kernel over all (query, candidate) pairs — per-query work
-(dedup, strict-improvement test, arg-sorted beam selection) operates on
-segment views of those shared arrays.  Candidate positions are gathered once
-per distinct vertex per round, however many queries reach it, which is the
-batch's *unique* walk work; the per-query counters remain bit-identical to
-sequential :func:`directed_walk` calls and sum to the *attributed* work.  The
+:func:`directed_walk_many` is the only walk entry point.  It fuses the walks
+of a whole query batch: all per-box beams advance in lockstep, so each round
+performs **one** CSR neighbour gather over the union of the active frontiers
+and **one** vectorised distance kernel over all (query, candidate) pairs —
+per-query work (dedup, strict-improvement test, arg-sorted beam selection)
+operates on segment views of those shared arrays.  Candidate positions are
+gathered once per distinct vertex per round, however many queries reach it,
+which is the batch's *unique* walk work; the per-query counters are
+bit-identical to width-1 calls and sum to the *attributed* work.  The
 per-query walk state lives in a :class:`~repro.core.scratch.WalkArena` owned
 by the scratch, so the batched path allocates nothing proportional to the
-mesh or the batch.
+mesh or the batch.  A width-1 batch takes a short one-query branch
+(:func:`_walk_one`) that skips the segment plumbing; it is the reference the
+parity suites hold the batched counters to.
 """
 
 from __future__ import annotations
@@ -45,17 +47,16 @@ import numpy as np
 
 from ..kernels import KernelBackend, get_backend
 from ..mesh import Box3D, PolyhedralMesh, boxes_to_arrays, csr_gather, points_box_distance
-from .crawler import BatchCrawlOutcome, _gather_neighbors
-from .result import QueryCounters
+from .crawler import BatchCrawlOutcome, crawl_many
+from .result import QueryCounters, QueryResult
 from .scratch import CrawlScratch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
     from .resilience import BudgetTracker
 
 __all__ = [
-    "directed_walk",
     "directed_walk_many",
-    "fused_walk_phase",
+    "walk_then_crawl",
     "WalkOutcome",
     "BatchWalkOutcome",
 ]
@@ -105,8 +106,8 @@ class BatchWalkOutcome:
     ----------
     outcomes:
         One :class:`WalkOutcome` per query, in order, bit-identical (seed
-        vertex, step count, path, counters) to independent
-        :func:`directed_walk` calls.
+        vertex, step count, path, counters) to width-1
+        :func:`directed_walk_many` calls.
     n_unique_distance_computations:
         Candidate positions the fused walk actually gathered and evaluated:
         per lockstep round, each distinct candidate vertex counts once no
@@ -116,11 +117,11 @@ class BatchWalkOutcome:
     n_attributed_distance_computations:
         The same evaluations counted once per owning query — exactly the sum
         of the per-query ``walk_distance_computations`` counters, which is
-        what the sequential walks would have performed in total.
+        what one width-1 walk per query would have performed in total.
     n_rounds:
         Lockstep iterations executed (shared CSR gathers + shared distance
-        kernels, including the start-distance round); the sequential
-        equivalent is the *sum* of the per-query step counts, the fused walk
+        kernels, including the start-distance round); one width-1 walk per
+        query pays the *sum* of the per-query step counts, the fused walk
         pays the *maximum*.
     n_unique_csr_gather_entries / n_attributed_csr_gather_entries:
         Adjacency entries the fused walk's CSR gathers physically read vs.
@@ -148,68 +149,33 @@ class BatchWalkOutcome:
         self.n_unique_csr_gather_entries = 0
         self.n_attributed_csr_gather_entries = 0
 
-    def attach_to(self, crawl_batch: BatchCrawlOutcome) -> None:
-        """Copy the walk-phase work counters onto a fused crawl's accounting,
-        so one :class:`~repro.core.crawler.BatchCrawlOutcome` accounts for the
-        whole fused batch (what ``last_fused_crawl`` exposes)."""
-        crawl_batch.n_unique_walk_distance_computations = self.n_unique_distance_computations
-        crawl_batch.n_attributed_walk_distance_computations = (
-            self.n_attributed_distance_computations
-        )
 
-
-def directed_walk(
+def _walk_one(
     mesh: PolyhedralMesh,
     box: Box3D,
-    start_vertex: int | np.ndarray,
-    counters: QueryCounters | None = None,
-    max_steps: int | None = None,
-    beam_width: int = 1,
-    scratch: CrawlScratch | None = None,
-    budget: "BudgetTracker | None" = None,
-) -> WalkOutcome:
-    """Greedy beam walk along mesh edges towards the query box.
+    raw_starts: int | np.ndarray,
+    limit: int,
+    beam_width: int,
+    scratch: CrawlScratch,
+    budget: "BudgetTracker | None",
+    batch: BatchWalkOutcome,
+) -> tuple[WalkOutcome, int]:
+    """The one-query branch of :func:`directed_walk_many`: a plain beam walk.
 
-    Parameters
-    ----------
-    mesh:
-        Mesh providing adjacency and *current* positions.
-    box:
-        Target query box.
-    start_vertex:
-        Vertex id — or array of vertex ids (multi-source) — to start walking
-        from (typically the surface vertex closest to the box, or vertices
-        suggested by the stale grid in OCTOPUS-CON).
-    counters:
-        Optional counter record updated in place.
-    max_steps:
-        Safety bound on the number of accepted steps (defaults to the vertex
-        count, so the walk always terminates even on adversarial inputs).
-    beam_width:
-        Number of candidate vertices carried per step; the default of 1 is
-        the paper's single-vertex greedy walk, wider beams trade extra
-        distance computations for robustness on non-convex meshes.
-    scratch:
-        Optional shared arena whose gather buffers the CSR neighbour gather
-        reuses.
-    budget:
-        Optional :class:`~repro.core.resilience.BudgetTracker` charged once
-        per round with that round's distance evaluations (the round that
-        crosses the limit is fully counted, then the walk stops).  The fused
-        :func:`directed_walk_many` truncates at the identical round.
+    Same rounds, beam selection, stuck test and budget placement as every
+    query of a fused batch, without the per-query segment bookkeeping; with a
+    single walker, unique work equals attributed work.  Returns the outcome
+    and its distance-evaluation count, and adds the round and gather counts
+    to ``batch``.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be at least 1")
-    adjacency = mesh.adjacency
     positions = mesh.vertices
-    indptr, indices = adjacency.indptr, adjacency.indices
-    limit = max_steps if max_steps is not None else mesh.n_vertices + 1
-
-    starts = np.unique(np.atleast_1d(np.asarray(start_vertex, dtype=np.int64)))
+    indptr, indices = mesh.adjacency.indptr, mesh.adjacency.indices
+    starts = np.unique(np.atleast_1d(np.asarray(raw_starts, dtype=np.int64)))
     if starts.size == 0:
-        return WalkOutcome(None, 0, [])
+        return WalkOutcome(None, 0, []), 0
     start_distances = points_box_distance(positions[starts], box)
     n_distance = int(starts.size)
+    batch.n_rounds += 1
     order = np.argsort(start_distances)[:beam_width]
     frontier = starts[order]
     best_distance = float(start_distances[order[0]])
@@ -218,16 +184,17 @@ def directed_walk(
     path = [best_id]
 
     found: int | None = best_id if best_distance == 0.0 else None
-    truncated = False
-    if budget is not None and not budget.spend(distances=int(starts.size)):
-        truncated = True
+    truncated = budget is not None and not budget.spend(distances=n_distance)
     while not truncated and found is None and n_steps < limit:
-        neighbors = _gather_neighbors(indptr, indices, frontier, scratch)
+        neighbors, _ = csr_gather(indptr, indices, frontier, ramp=scratch.iota)
         if neighbors.size == 0:
             break
+        batch.n_unique_csr_gather_entries += int(neighbors.size)
+        batch.n_attributed_csr_gather_entries += int(neighbors.size)
         candidates = np.unique(neighbors)
         distances = points_box_distance(positions[candidates], box)
         n_distance += int(candidates.size)
+        batch.n_rounds += 1
         if budget is not None and not budget.spend(distances=int(candidates.size)):
             truncated = True
             break
@@ -247,38 +214,10 @@ def directed_walk(
         if best_distance == 0.0:
             found = best_id
 
-    if counters is not None:
-        counters.walk_vertices_visited += n_steps
-        counters.walk_distance_computations += n_distance
-    return WalkOutcome(found, n_steps, path, complete=found is not None or not truncated)
-
-
-def _pair_distances(
-    positions: np.ndarray,
-    pair_vertices: np.ndarray,
-    pair_owners: np.ndarray,
-    los: np.ndarray,
-    his: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Box distances of (query, vertex) pairs, gathering each vertex once.
-
-    Evaluates, for every pair, the distance from ``positions[vertex]`` to the
-    owner query's box with the exact arithmetic of
-    :func:`~repro.mesh.points_box_distance` (so results are bit-identical to
-    the sequential walk).  Positions are gathered per *distinct* vertex and
-    fanned back out, which is the fused walk's shared memory work; the count
-    of distinct vertices is returned for the unique-work accounting.
-    """
-    unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
-    points = positions[unique_vertices][inverse]
-    delta = np.maximum(los[pair_owners] - points, 0.0) + np.maximum(points - his[pair_owners], 0.0)
-    return np.linalg.norm(delta, axis=1), int(unique_vertices.size)
-
-
-# The fused walk dispatches its distance evaluations through a kernel backend
-# (:meth:`repro.kernels.KernelBackend.pair_box_distances`); the NumPy
-# reference backend computes exactly what :func:`_pair_distances` computes,
-# which is kept above as the readable specification of the kernel.
+    batch.n_unique_distance_computations += n_distance
+    batch.n_attributed_distance_computations += n_distance
+    outcome = WalkOutcome(found, n_steps, path, complete=found is not None or not truncated)
+    return outcome, n_distance
 
 
 def directed_walk_many(
@@ -299,7 +238,8 @@ def directed_walk_many(
     vectorised distance kernel over all (query, candidate) pairs, then every
     active query selects its next beam from a segment view of the shared
     arrays.  Seed vertices, step counts, paths and counters are bit-identical
-    to calling :func:`directed_walk` once per box with the same arguments.
+    to one width-1 call per box with the same arguments; a width-1 batch
+    takes the one-query branch (:func:`_walk_one`).
 
     Parameters
     ----------
@@ -313,20 +253,25 @@ def directed_walk_many(
     counters_list:
         Optional per-query counter records updated in place (entries may be
         ``None`` to skip a query's accounting).
-    max_steps / beam_width:
-        As in :func:`directed_walk`, applied to every query.
+    max_steps:
+        Safety bound on each walk's accepted steps (defaults to the vertex
+        count, so every walk terminates even on adversarial inputs).
+    beam_width:
+        Number of candidate vertices carried per step; the default of 1 is
+        the paper's single-vertex greedy walk, wider beams trade extra
+        distance computations for robustness on non-convex meshes.
     scratch:
         Reusable arena providing the per-query :class:`WalkArena` rows and
         gather buffers; a throwaway arena is allocated when omitted.
     budgets:
         Optional per-query :class:`~repro.core.resilience.BudgetTracker`
-        records (entries may be ``None``); each query truncates (or raises)
-        on exactly the round its sequential :func:`directed_walk` would.
+        records (entries may be ``None``), charged once per round with that
+        round's distance evaluations: the round that crosses the limit is
+        fully counted, then that walk stops (or raises).
     kernels:
         Optional :class:`repro.kernels.KernelBackend` (or ``None`` for the
-        NumPy reference) running the pair-distance hot loop; float64
-        backends are bit-identical, the float32 mode computes distances in
-        float32 (see ``docs/performance.md``).
+        NumPy reference) running the pair-distance hot loop; every backend is
+        bit-identical.  The one-query branch always runs NumPy.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
@@ -348,14 +293,48 @@ def directed_walk_many(
         return batch
     if scratch is None:
         scratch = CrawlScratch()
-    if kernels is None:
-        kernels = get_backend("numpy")
+    limit = max_steps if max_steps is not None else mesh.n_vertices + 1
+    if len(box_list) == 1:
+        outcome, n_evaluations = _walk_one(
+            mesh, box_list[0], start_lists[0], limit, beam_width, scratch,
+            budgets[0] if budgets is not None else None, batch,
+        )
+        batch.outcomes.append(outcome)
+        evaluations = [n_evaluations]
+    else:
+        evaluations = _walk_fused(
+            mesh, box_list, start_lists, limit, beam_width, scratch, budgets,
+            kernels if kernels is not None else get_backend("numpy"), batch,
+        )
+    if counters_list is not None:
+        for counters, outcome, n_evaluations in zip(counters_list, batch.outcomes, evaluations):
+            if counters is not None and outcome.n_steps:
+                counters.walk_vertices_visited += outcome.n_steps
+                counters.walk_distance_computations += n_evaluations
+    return batch
 
+
+def _walk_fused(
+    mesh: PolyhedralMesh,
+    box_list: list[Box3D],
+    start_lists: Sequence[int | np.ndarray],
+    limit: int,
+    beam_width: int,
+    scratch: CrawlScratch,
+    budgets: "Sequence[BudgetTracker | None] | None",
+    kernels: KernelBackend,
+    batch: BatchWalkOutcome,
+) -> list[int]:
+    """The lockstep walk of a multi-query batch (see :func:`directed_walk_many`).
+
+    Appends one outcome per query to ``batch`` and adds the shared round,
+    gather and distance counts to it; returns each query's distance
+    evaluations.
+    """
     adjacency = mesh.adjacency
     positions = mesh.vertices
     indptr, indices = adjacency.indptr, adjacency.indices
     n_vertices = mesh.n_vertices
-    limit = max_steps if max_steps is not None else n_vertices + 1
     n_queries = len(box_list)
     los, his = boxes_to_arrays(box_list)
 
@@ -382,7 +361,7 @@ def directed_walk_many(
     def charge_budget(query: int, n_evaluations: int) -> bool:
         """Charge one round's distance evaluations; False deactivates the walk.
 
-        Same placement as the sequential walk: the crossing round is fully
+        Same placement as the one-query branch: the crossing round is fully
         counted, then the walk stops before gathering another frontier.
         """
         if budgets is None or budgets[query] is None:
@@ -396,7 +375,7 @@ def directed_walk_many(
     def select_beam(query: int, candidates: np.ndarray, distances: np.ndarray) -> None:
         """Accept a step for ``query`` from its candidate segment.
 
-        Mirrors the sequential walk's beam update exactly: arg-sorted
+        Mirrors the one-query branch's beam update exactly: arg-sorted
         ``beam_width`` closest candidates, best-so-far update, path append,
         found/stuck bookkeeping.
         """
@@ -459,8 +438,8 @@ def directed_walk_many(
         # gathered once, and the per-entry views are fanned back out with a
         # second (cheap, index-space) CSR gather over the unique slices.
         unique_frontier, inverse = np.unique(flat_frontier, return_inverse=True)
-        unique_neighbors, unique_degrees = _gather_neighbors(
-            indptr, indices, unique_frontier, scratch, return_counts=True
+        unique_neighbors, unique_degrees = csr_gather(
+            indptr, indices, unique_frontier, ramp=scratch.iota
         )
         if unique_neighbors.size == 0:
             active[active_queries] = False
@@ -514,50 +493,78 @@ def directed_walk_many(
             complete=bool(found[query] >= 0 or not truncated[query]),
         )
         batch.outcomes.append(outcome)
-        if counters_list is not None and counters_list[query] is not None and steps:
-            counters_list[query].walk_vertices_visited += steps
-            counters_list[query].walk_distance_computations += int(n_distance[query])
-    return batch
+    return n_distance[:n_queries].tolist()
 
 
-def fused_walk_phase(
+def walk_then_crawl(
     mesh: PolyhedralMesh,
     box_list: Sequence[Box3D],
-    walk_indices: Sequence[int],
-    start_ids: Sequence[int | np.ndarray | None],
+    walk_starts: Sequence[int | np.ndarray | None],
+    crawl_starts: Sequence[np.ndarray],
     counters_list: Sequence[QueryCounters],
+    locate_times: Sequence[float],
     scratch: CrawlScratch,
     budgets: "Sequence[BudgetTracker | None] | None" = None,
     kernels: KernelBackend | None = None,
-) -> tuple[list[float], dict[int, np.ndarray], BatchWalkOutcome | None]:
-    """The batched executors' walk phase: one fused walk over selected boxes.
+) -> tuple[list[QueryResult], BatchCrawlOutcome]:
+    """Phases 2 and 3 of Algorithm 1 for a batch: fused walks, one fused crawl.
 
-    Runs :func:`directed_walk_many` for the boxes named by ``walk_indices``
-    (whose per-box starts are ``start_ids[i]``), updating their counter
-    records in place.  Returns per-box walk seconds (the shared fused-walk
-    wall-clock apportioned evenly over the boxes that walked, 0.0 elsewhere),
-    the crawl start vertices produced by successful walks (keyed by box
-    index), and the :class:`BatchWalkOutcome` — ``None`` when nothing walked.
-    ``budgets`` (when given) is indexed by *box*, like ``start_ids``; each
-    walking box's tracker is threaded through to the fused walk.
+    Box ``i`` walks from ``walk_starts[i]`` (``None``: no walk) and crawls
+    from ``crawl_starts[i]``, or from the vertex its walk reached inside the
+    box.  ``locate_times[i]`` is the seconds box ``i`` spent finding its
+    starts (surface probe or grid lookup), reported as its ``probe_time``;
+    the shared walk wall-clock is apportioned evenly over the boxes that
+    walked, the shared crawl wall-clock over the whole batch.  ``budgets``
+    (when given) holds one tracker per box, metering its walk and crawl
+    together.  Returns one :class:`~repro.core.result.QueryResult` per box
+    and the crawl's accounting, with the walk's work counters attached.
     """
+    walk_indices = [index for index, start in enumerate(walk_starts) if start is not None]
     walk_times = [0.0] * len(box_list)
-    if not walk_indices:
-        return walk_times, {}, None
-    walk_start = time.perf_counter()
-    batch = directed_walk_many(
-        mesh,
-        [box_list[i] for i in walk_indices],
-        [start_ids[i] for i in walk_indices],
-        [counters_list[i] for i in walk_indices],
-        scratch=scratch,
-        budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
+    walk_complete = [True] * len(box_list)
+    crawl_starts = list(crawl_starts)
+    walk_batch = None
+    if walk_indices:
+        walk_start = time.perf_counter()
+        walk_batch = directed_walk_many(
+            mesh,
+            [box_list[i] for i in walk_indices],
+            [walk_starts[i] for i in walk_indices],
+            [counters_list[i] for i in walk_indices],
+            scratch=scratch,
+            budgets=[budgets[i] for i in walk_indices] if budgets is not None else None,
+            kernels=kernels,
+        )
+        shared_time = (time.perf_counter() - walk_start) / len(walk_indices)
+        for index, walk in zip(walk_indices, walk_batch.outcomes):
+            walk_times[index] = shared_time
+            walk_complete[index] = walk.complete
+            if walk.found_id is not None:
+                crawl_starts[index] = np.asarray([walk.found_id], dtype=np.int64)
+
+    crawl_start = time.perf_counter()
+    batch = crawl_many(
+        mesh, box_list, crawl_starts, counters_list, scratch=scratch, budgets=budgets,
         kernels=kernels,
     )
-    shared_time = (time.perf_counter() - walk_start) / len(walk_indices)
-    crawl_starts: dict[int, np.ndarray] = {}
-    for index, walk in zip(walk_indices, batch.outcomes):
-        walk_times[index] = shared_time
-        if walk.found_id is not None:
-            crawl_starts[index] = np.asarray([walk.found_id], dtype=np.int64)
-    return walk_times, crawl_starts, batch
+    crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
+    if walk_batch is not None:
+        batch.n_unique_walk_distance_computations = walk_batch.n_unique_distance_computations
+        batch.n_attributed_walk_distance_computations = (
+            walk_batch.n_attributed_distance_computations
+        )
+    results = [
+        QueryResult(
+            vertex_ids=outcome.result_ids,
+            counters=counters,
+            probe_time=locate_time,
+            walk_time=walk_time,
+            crawl_time=crawl_time,
+            total_time=locate_time + walk_time + crawl_time,
+            complete=complete and outcome.complete,
+        )
+        for outcome, counters, locate_time, walk_time, complete in zip(
+            batch.outcomes, counters_list, locate_times, walk_times, walk_complete
+        )
+    ]
+    return results, batch

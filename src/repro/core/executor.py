@@ -30,7 +30,6 @@ maintenance ledger cover deformation *and* restructuring work.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -45,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime cycle)
 __all__ = ["ExecutionStrategy", "StrategyWrapper"]
 
 
-class ExecutionStrategy(ABC):
-    """Abstract base class for range-query execution strategies."""
+class ExecutionStrategy:
+    """Base class for range-query execution strategies."""
 
     #: short machine-friendly identifier used in reports ("octopus", "linear-scan", ...)
     name: str = "strategy"
@@ -146,20 +145,32 @@ class ExecutionStrategy(ABC):
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    @abstractmethod
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # query() and query_many() are defined through each other; a
+        # strategy must implement at least one of them.
+        if cls.query is ExecutionStrategy.query and cls.query_many is ExecutionStrategy.query_many:
+            raise TypeError(f"{cls.__name__} must override query() or query_many()")
+
     def query(self, box: Box3D) -> QueryResult:
-        """Answer one 3D range query against the current vertex positions."""
+        """Answer one 3D range query against the current vertex positions.
+
+        Defined as the width-1 batch, ``query_many([box])[0]``, so strategies
+        with one query engine (OCTOPUS, OCTOPUS-CON) implement only
+        :meth:`query_many`; the baselines override this method instead.
+        """
+        return self.query_many([box])[0]
 
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
         """Answer a batch of range queries against the current positions.
 
         Returns one :class:`QueryResult` per box, in order, identical to
-        calling :meth:`query` sequentially.  The base implementation is that
-        sequential loop; strategies with a vectorisable scan phase override it
-        to amortise per-query NumPy dispatch across the whole batch (OCTOPUS
-        fuses the surface probe *and* the crawls of the whole batch, the tree
-        baselines share one index traversal, the linear scan tests all boxes
-        against all vertices at once).
+        calling :meth:`query` once per box.  The base implementation is that
+        loop; strategies with a vectorisable scan phase override it to
+        amortise per-query NumPy dispatch across the whole batch (OCTOPUS
+        fuses the surface probe, the walks *and* the crawls of the whole
+        batch, the tree baselines share one index traversal, the linear scan
+        tests all boxes against all vertices at once).
 
         **Failure contract (all-or-nothing):** if answering any box raises,
         the exception propagates and *no* results are returned — the

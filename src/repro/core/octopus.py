@@ -27,17 +27,12 @@ import numpy as np
 
 from ..errors import QueryError
 from ..kernels import KernelBackend, get_backend
-from ..mesh import (
-    Box3D,
-    box_batch_chunk,
-    boxes_to_arrays,
-    points_boxes_distance_sq,
-)
-from .crawler import BatchCrawlOutcome, crawl, crawl_many
+from ..mesh import Box3D
+from .crawler import BatchCrawlOutcome
 from .delta import DeformationDelta, TopologyDelta
-from .directed_walk import directed_walk, fused_walk_phase
+from .directed_walk import walk_then_crawl
 from .executor import ExecutionStrategy
-from .resilience import check_query_box, check_query_boxes
+from .resilience import check_query_boxes
 from .result import QueryCounters, QueryResult
 from .scratch import CrawlScratch, ThreadLocalScratch
 from .surface_index import SurfaceIndex
@@ -59,10 +54,10 @@ class OctopusExecutor(ExecutionStrategy):
         Seed for the approximation sample.
     kernels:
         Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string such as
-        ``"numba"`` or ``"numpy:float32"``, or ``None`` to consult the
-        ``REPRO_KERNEL_BACKEND`` environment variable (default NumPy).
-        Sequential :meth:`query` calls always use the NumPy float64 path.
+        :class:`~repro.kernels.KernelBackend`, a spec string (``"numpy"``
+        or ``"numba"``), or ``None`` to consult the ``REPRO_KERNEL_BACKEND``
+        environment variable (default NumPy).  Single-box walks and crawls
+        take the engine's one-query branches, which always run NumPy.
     """
 
     name = "octopus"
@@ -186,208 +181,56 @@ class OctopusExecutor(ExecutionStrategy):
     # ------------------------------------------------------------------
     # query execution (Algorithm 1)
     # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        """Answer one range query via Algorithm 1: probe, walk, crawl.
-
-        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
-        installed, one tracker meters the walk and crawl phases together (the
-        probe is bounded by the surface size and stays unbudgeted).
-        """
-        check_query_box(box)
-        counters = QueryCounters()
-
-        # Phase 1: surface probe over the (possibly sampled) surface vertex set.
-        probe_start = time.perf_counter()
-        probe = self.surface_index.probe(box, counters, ids=self._probe_ids)
-        probe_time = time.perf_counter() - probe_start
-
-        # Phases 2 and 3: directed walk (only on a probe miss) and crawl.
-        return self._walk_and_crawl(box, probe.inside_ids, probe.closest_id, counters, probe_time)
-
-    def _walk_for_start(
-        self,
-        box: Box3D,
-        start_vertices: np.ndarray,
-        closest_id: int | None,
-        counters: QueryCounters,
-        budget=None,
-    ) -> tuple[np.ndarray, float, bool]:
-        """Phase 2 of Algorithm 1 (shared by the sequential and batched paths).
-
-        On a probe miss, walks from the closest surface vertex towards the
-        box; returns the (possibly updated) crawl start vertices, the walk
-        seconds, and whether the walk ran to completion (budgets may truncate
-        it).
-        """
-        walk_time = 0.0
-        complete = True
-        if start_vertices.size == 0 and closest_id is not None:
-            walk_start = time.perf_counter()
-            walk = directed_walk(
-                self.mesh, box, closest_id, counters, scratch=self.scratch, budget=budget
-            )
-            walk_time = time.perf_counter() - walk_start
-            complete = walk.complete
-            if walk.found_id is not None:
-                start_vertices = np.asarray([walk.found_id], dtype=np.int64)
-        return start_vertices, walk_time, complete
-
-    def _walk_and_crawl(
-        self,
-        box: Box3D,
-        start_vertices: np.ndarray,
-        closest_id: int | None,
-        counters: QueryCounters,
-        probe_time: float,
-    ) -> QueryResult:
-        """Phases 2–3 of Algorithm 1 for one box (the sequential tail)."""
-        mesh = self.mesh
-        budget = self._start_budget()
-        start_vertices, walk_time, walk_complete = self._walk_for_start(
-            box, start_vertices, closest_id, counters, budget
-        )
-
-        crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, start_vertices, counters, scratch=self.scratch, budget=budget)
-        crawl_time = time.perf_counter() - crawl_start
-        return QueryResult(
-            vertex_ids=outcome.result_ids,
-            counters=counters,
-            probe_time=probe_time,
-            walk_time=walk_time,
-            crawl_time=crawl_time,
-            total_time=probe_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete,
-        )
-
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched Algorithm 1: broadcasted probe, fused walks, one fused crawl.
+        """Algorithm 1 for a batch of any width: probe, fused walks, fused crawl.
 
-        The surface is tested against *all* query boxes in a single NumPy
-        pass (chunked to bound the broadcast), which amortises the probe's
-        dispatch overhead across the batch; the directed walks of all probe
-        misses advance in lockstep through one fused beam walk
+        The surface is tested against *all* query boxes in one broadcast
+        probe (:meth:`~repro.core.surface_index.SurfaceIndex.probe_many`);
+        the directed walks of all probe misses advance in lockstep through
+        one fused beam walk
         (:func:`~repro.core.directed_walk.directed_walk_many`), and the
         crawls of the whole batch are fused into one shared-frontier BFS
         (:func:`~repro.core.crawler.crawl_many`) so overlapping boxes share
-        CSR gathers and position tests.  Results, counters and result ids are
-        identical to sequential :meth:`query` calls; the shared probe, walk
-        and crawl wall-clock is apportioned evenly across the batch (walk
-        time across the boxes that walked).
+        CSR gathers and position tests.  A single box takes the engine's
+        one-query branches, and :meth:`query` is this method at width 1, so
+        per-box results and counters do not depend on the batch they came
+        in.  The shared probe, walk and crawl wall-clock is apportioned
+        evenly across the batch (walk time across the boxes that walked).
+
+        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
+        installed, one tracker per box meters its walk and crawl together
+        (the probe is bounded by the surface size and stays unbudgeted).
         """
         box_list = check_query_boxes(boxes)
-        self.last_fused_crawl = None  # set again below iff this batch fuses
-        if len(box_list) <= 1:
-            return [self.query(box) for box in box_list]
-        mesh = self.mesh
-        surface = self.surface_index  # raises before prepare()
-        probe_ids = self._probe_ids if self._probe_ids is not None else surface.surface_ids()
-        if surface.is_stale() or probe_ids.size == 0:
-            # Rare paths (stale-index error, surface-less mesh): keep the
-            # sequential code as the single source of truth.
-            return [self.query(box) for box in box_list]
+        self.last_fused_crawl = None  # set again below iff this batch crawls
+        if not box_list:
+            return []
+        counters_list = [QueryCounters() for _ in box_list]
 
+        # Phase 1: surface probe over the (possibly sampled) surface vertex set.
         probe_start = time.perf_counter()
-        los, his = boxes_to_arrays(box_list)
-        positions = mesh.vertices[probe_ids]
-        chunk = box_batch_chunk(probe_ids.size)
-        start_lists: list[np.ndarray] = []
-        closest_ids: list[int | None] = []
-        for lo_index in range(0, len(box_list), chunk):
-            hi_index = min(lo_index + chunk, len(box_list))
-            inside = self.kernels.points_in_boxes(
-                positions, los[lo_index:hi_index], his[lo_index:hi_index]
-            )
-            hits = inside.any(axis=1)
-            misses = np.nonzero(~hits)[0]
-            closest_of_miss: dict[int, int] = {}
-            if misses.size:
-                distances = points_boxes_distance_sq(
-                    positions, los[lo_index + misses], his[lo_index + misses]
-                )
-                nearest = np.argmin(distances, axis=1)
-                closest_of_miss = {
-                    int(row): int(probe_ids[nearest[k]]) for k, row in enumerate(misses)
-                }
-            for row in range(hi_index - lo_index):
-                if hits[row]:
-                    start_lists.append(probe_ids[inside[row]])
-                    closest_ids.append(None)
-                else:
-                    start_lists.append(np.empty(0, dtype=np.int64))
-                    closest_ids.append(closest_of_miss[row])
+        probes = self.surface_index.probe_many(
+            box_list, counters_list, ids=self._probe_ids, kernels=self.kernels
+        )
         # The probe cost is shared by the whole batch; apportion it evenly.
         probe_time = (time.perf_counter() - probe_start) / len(box_list)
 
         # Phase 2 fused across the probe misses, then phase 3 fused across the
         # whole batch.
-        counters_list: list[QueryCounters] = []
-        crawl_starts: list[np.ndarray] = []
-        walk_indices: list[int] = []
-        for index, (start_vertices, closest_id) in enumerate(zip(start_lists, closest_ids)):
-            counters = QueryCounters()
-            counters.surface_probed += int(probe_ids.size)
-            if start_vertices.size == 0 and closest_id is not None:
-                # Mirrors probe(): the closest-vertex pass costs one distance
-                # evaluation per probed vertex.
-                counters.probe_distance_computations += int(probe_ids.size)
-                walk_indices.append(index)
-            counters_list.append(counters)
-            crawl_starts.append(start_vertices)
-
-        # One tracker per query, shared by its walk and crawl phases — the
-        # same metering a sequential query() applies.
         budgets = None
         if self.query_budget is not None:
             budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
-
-        walk_times, walk_starts, walk_batch = fused_walk_phase(
-            mesh,
+        results, self.last_fused_crawl = walk_then_crawl(
+            self.mesh,
             box_list,
-            walk_indices,
-            closest_ids,
+            [probe.closest_id for probe in probes],
+            [probe.inside_ids for probe in probes],
             counters_list,
+            [probe_time] * len(box_list),
             self.scratch,
             budgets,
             kernels=self.kernels,
         )
-        for index, start_vertices in walk_starts.items():
-            crawl_starts[index] = start_vertices
-        walk_complete = [True] * len(box_list)
-        if walk_batch is not None:
-            for index, walk in zip(walk_indices, walk_batch.outcomes):
-                walk_complete[index] = walk.complete
-
-        crawl_start = time.perf_counter()
-        batch = crawl_many(
-            mesh,
-            box_list,
-            crawl_starts,
-            counters_list,
-            scratch=self.scratch,
-            budgets=budgets,
-            kernels=self.kernels,
-        )
-        crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
-        if walk_batch is not None:
-            walk_batch.attach_to(batch)
-        self.last_fused_crawl = batch
-
-        results: list[QueryResult] = []
-        for index, (outcome, counters, walk_time) in enumerate(
-            zip(batch.outcomes, counters_list, walk_times)
-        ):
-            results.append(
-                QueryResult(
-                    vertex_ids=outcome.result_ids,
-                    counters=counters,
-                    probe_time=probe_time,
-                    walk_time=walk_time,
-                    crawl_time=crawl_time,
-                    total_time=probe_time + walk_time + crawl_time,
-                    complete=walk_complete[index] and outcome.complete,
-                )
-            )
         return results
 
     # ------------------------------------------------------------------

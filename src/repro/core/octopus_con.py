@@ -21,11 +21,11 @@ import numpy as np
 from ..errors import QueryError
 from ..kernels import KernelBackend, get_backend
 from ..mesh import Box3D
-from .crawler import BatchCrawlOutcome, crawl, crawl_many
+from .crawler import BatchCrawlOutcome
 from .delta import DeformationDelta, TopologyDelta
-from .directed_walk import directed_walk, fused_walk_phase
+from .directed_walk import walk_then_crawl
 from .executor import ExecutionStrategy
-from .resilience import check_query_box, check_query_boxes
+from .resilience import check_query_boxes
 from .result import QueryCounters, QueryResult
 from .scratch import CrawlScratch, ThreadLocalScratch
 from .uniform_grid import UniformGrid
@@ -62,10 +62,10 @@ class OctopusConExecutor(ExecutionStrategy):
         shortens the directed walks, correctness never depends on it.
     kernels:
         Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string such as
-        ``"numba"`` or ``"numpy:float32"``, or ``None`` to consult the
-        ``REPRO_KERNEL_BACKEND`` environment variable (default NumPy).
-        Sequential :meth:`query` calls always use the NumPy float64 path.
+        :class:`~repro.kernels.KernelBackend`, a spec string (``"numpy"``
+        or ``"numba"``), or ``None`` to consult the ``REPRO_KERNEL_BACKEND``
+        environment variable (default NumPy).  Single-box walks and crawls
+        take the engine's one-query branches, which always run NumPy.
 
     Notes
     -----
@@ -221,98 +221,34 @@ class OctopusConExecutor(ExecutionStrategy):
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def query(self, box: Box3D) -> QueryResult:
-        """Answer one range query: grid-located start, walk, crawl.
-
-        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
-        installed, one tracker meters the walk and crawl together (the grid
-        lookup is bounded by the grid resolution and stays unbudgeted).
-        """
-        check_query_box(box)
-        counters = QueryCounters()
-        if self.mesh.n_vertices == 0:
-            return QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=counters)
-
-        # Locate a starting vertex near the query centre using the stale grid.
-        locate_start = time.perf_counter()
-        start_id = self._ensure_grid().any_vertex_near(box.center, counters)
-        locate_time = time.perf_counter() - locate_start
-
-        return self._walk_and_crawl(box, start_id, counters, locate_time)
-
-    def _walk_for_start(
-        self,
-        box: Box3D,
-        start_id: int | None,
-        counters: QueryCounters,
-        budget=None,
-    ) -> tuple[np.ndarray, float, bool]:
-        """Directed-walk phase (shared by the sequential and batched paths).
-
-        Walks from the grid-suggested vertex towards the box; returns the
-        crawl start vertices (empty when the walk got stuck or the grid was
-        empty), the walk seconds, and whether the walk ran to completion
-        (budgets may truncate it).
-        """
-        walk_time = 0.0
-        complete = True
-        start_vertices = np.empty(0, dtype=np.int64)
-        if start_id is not None:
-            walk_start = time.perf_counter()
-            walk = directed_walk(
-                self.mesh, box, start_id, counters, scratch=self.scratch, budget=budget
-            )
-            walk_time = time.perf_counter() - walk_start
-            complete = walk.complete
-            if walk.found_id is not None:
-                start_vertices = np.asarray([walk.found_id], dtype=np.int64)
-        return start_vertices, walk_time, complete
-
-    def _walk_and_crawl(
-        self,
-        box: Box3D,
-        start_id: int | None,
-        counters: QueryCounters,
-        locate_time: float,
-    ) -> QueryResult:
-        """Walk-then-crawl tail for one box (the sequential path)."""
-        mesh = self.mesh
-        budget = self._start_budget()
-        start_vertices, walk_time, walk_complete = self._walk_for_start(
-            box, start_id, counters, budget
-        )
-
-        crawl_start = time.perf_counter()
-        outcome = crawl(mesh, box, start_vertices, counters, scratch=self.scratch, budget=budget)
-        crawl_time = time.perf_counter() - crawl_start
-        return QueryResult(
-            vertex_ids=outcome.result_ids,
-            counters=counters,
-            probe_time=locate_time,   # grid lookup takes the place of the probe phase
-            walk_time=walk_time,
-            crawl_time=crawl_time,
-            total_time=locate_time + walk_time + crawl_time,
-            complete=walk_complete and outcome.complete,
-        )
-
     def query_many(self, boxes: Sequence[Box3D]) -> list[QueryResult]:
-        """Batched execution: vectorised grid lookup, fused walks, fused crawl.
+        """Grid-located starts, fused walks, fused crawl — for any batch width.
 
         All box centres are located in the stale grid in a single pass (only
-        the boxes whose centre cell is empty fall back to the sequential ring
+        the boxes whose centre cell is empty fall back to the per-box ring
         search), the directed walks of the whole batch advance in lockstep
         through one fused beam walk
         (:func:`~repro.core.directed_walk.directed_walk_many`), and the
         crawls are fused into one shared-frontier BFS
         (:func:`~repro.core.crawler.crawl_many`) against the shared scratch
-        arena.  Results and counters match sequential :meth:`query` calls
-        exactly.
+        arena.  A single box takes the engine's one-query branches, and
+        :meth:`query` is this method at width 1.
+
+        When a :attr:`~repro.core.executor.ExecutionStrategy.query_budget` is
+        installed, one tracker per box meters its walk and crawl together
+        (the grid lookup is bounded by the grid resolution and stays
+        unbudgeted).  An empty mesh answers every box with an empty result.
         """
         box_list = check_query_boxes(boxes)
-        self.last_fused_crawl = None  # set again below iff this batch fuses
-        if len(box_list) <= 1 or self.mesh.n_vertices == 0:
-            return [self.query(box) for box in box_list]
+        self.last_fused_crawl = None  # set again below iff this batch crawls
+        if not box_list:
+            return []
         mesh = self.mesh
+        if mesh.n_vertices == 0:
+            return [
+                QueryResult(vertex_ids=np.empty(0, dtype=np.int64), counters=QueryCounters())
+                for _ in box_list
+            ]
         locate_start = time.perf_counter()
         centers = np.stack([box.center for box in box_list])
         first_hits = self._ensure_grid().locate_batch(centers)
@@ -335,61 +271,21 @@ class OctopusConExecutor(ExecutionStrategy):
             locate_times.append(locate_time)
             start_ids.append(start_id)
 
-        walk_indices = [index for index, start_id in enumerate(start_ids) if start_id is not None]
-        # One tracker per query, shared by its walk and crawl phases — the
-        # same metering a sequential query() applies.
         budgets = None
         if self.query_budget is not None:
             budgets = [self._start_budget(query_index=i) for i in range(len(box_list))]
-        walk_times, walk_starts, walk_batch = fused_walk_phase(
+        # The grid lookup takes the place of the probe phase.
+        results, self.last_fused_crawl = walk_then_crawl(
             mesh,
             box_list,
-            walk_indices,
             start_ids,
+            [np.empty(0, dtype=np.int64)] * len(box_list),
             counters_list,
+            locate_times,
             self.scratch,
             budgets,
             kernels=self.kernels,
         )
-        crawl_starts = [
-            walk_starts.get(index, np.empty(0, dtype=np.int64))
-            for index in range(len(box_list))
-        ]
-        walk_complete = [True] * len(box_list)
-        if walk_batch is not None:
-            for index, walk in zip(walk_indices, walk_batch.outcomes):
-                walk_complete[index] = walk.complete
-
-        crawl_start = time.perf_counter()
-        batch = crawl_many(
-            mesh,
-            box_list,
-            crawl_starts,
-            counters_list,
-            scratch=self.scratch,
-            budgets=budgets,
-            kernels=self.kernels,
-        )
-        crawl_time = (time.perf_counter() - crawl_start) / len(box_list)
-        if walk_batch is not None:
-            walk_batch.attach_to(batch)
-        self.last_fused_crawl = batch
-
-        results: list[QueryResult] = []
-        for index, (outcome, counters, locate_time, walk_time) in enumerate(
-            zip(batch.outcomes, counters_list, locate_times, walk_times)
-        ):
-            results.append(
-                QueryResult(
-                    vertex_ids=outcome.result_ids,
-                    counters=counters,
-                    probe_time=locate_time,  # grid lookup takes the place of the probe phase
-                    walk_time=walk_time,
-                    crawl_time=crawl_time,
-                    total_time=locate_time + walk_time + crawl_time,
-                    complete=walk_complete[index] and outcome.complete,
-                )
-            )
         return results
 
     # ------------------------------------------------------------------

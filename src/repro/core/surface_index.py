@@ -13,18 +13,25 @@ The implementation keeps two views of the same set:
   table of pointers and giving O(1) insert/delete/membership;
 * ``_ids_cache`` — a NumPy array of the ids, rebuilt lazily after
   modifications, which lets the surface probe gather all surface positions in
-  one vectorised operation.
+  one vectorised operation and test them against a whole batch of boxes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import SpatialIndexError
-from ..mesh import Box3D, PolyhedralMesh, points_boxes_distance_sq, points_in_box
+from ..kernels import KernelBackend, get_backend
+from ..mesh import (
+    Box3D,
+    PolyhedralMesh,
+    box_batch_chunk,
+    boxes_to_arrays,
+    points_boxes_distance_sq,
+)
 from .result import QueryCounters
 from .scratch import CrawlScratch
 
@@ -32,7 +39,8 @@ __all__ = ["SurfaceIndex", "SurfaceProbeOutcome"]
 
 
 class SurfaceProbeOutcome:
-    """Result of probing the surface against one query box.
+    """Result of probing the surface against one query box (see
+    :meth:`SurfaceIndex.probe_many`).
 
     Attributes
     ----------
@@ -43,23 +51,16 @@ class SurfaceProbeOutcome:
         vertex is inside, mirroring Algorithm 1), else ``None``.
     closest_distance:
         Distance of ``closest_id`` to the query box.
-    n_probed:
-        Number of surface vertices examined.
     """
 
-    __slots__ = ("inside_ids", "closest_id", "closest_distance", "n_probed")
+    __slots__ = ("inside_ids", "closest_id", "closest_distance")
 
     def __init__(
-        self,
-        inside_ids: np.ndarray,
-        closest_id: int | None,
-        closest_distance: float,
-        n_probed: int,
+        self, inside_ids: np.ndarray, closest_id: int | None, closest_distance: float
     ) -> None:
         self.inside_ids = inside_ids
         self.closest_id = closest_id
         self.closest_distance = closest_distance
-        self.n_probed = n_probed
 
 
 class SurfaceIndex:
@@ -216,28 +217,40 @@ class SurfaceIndex:
     # ------------------------------------------------------------------
     # the surface probe (Section IV-C)
     # ------------------------------------------------------------------
-    def probe(
+    def probe_many(
         self,
-        box: Box3D,
-        counters: QueryCounters | None = None,
+        boxes: Sequence[Box3D],
+        counters_list: Sequence[QueryCounters] | None = None,
         ids: np.ndarray | None = None,
-    ) -> SurfaceProbeOutcome:
-        """Scan the surface vertices and split them into inside / closest-outside.
+        kernels: KernelBackend | None = None,
+    ) -> list[SurfaceProbeOutcome]:
+        """Split the surface vertices into inside / closest-outside, per box.
 
-        The probe always reads the *current* vertex positions from the mesh,
-        so it is correct regardless of how far vertices moved since the index
-        was built.
+        One broadcast membership test covers the whole batch (chunked over
+        the box axis to bound the ``(boxes, surface)`` intermediates); only
+        the boxes that contain no surface vertex pay the closest-vertex
+        pass.  The probe always reads the *current* vertex positions from the
+        mesh, so it is correct regardless of how far vertices moved since the
+        index was built.
 
         Parameters
         ----------
-        box:
-            The query box.
-        counters:
-            Optional counter record updated in place.
+        boxes:
+            The query boxes (any number, including one).
+        counters_list:
+            Optional per-box counter records updated in place: every box is
+            charged the probed vertices, and every miss one distance
+            evaluation per probed vertex for its closest-vertex pass.
         ids:
             Optional subset of surface vertex ids to probe instead of the full
             surface (used by the approximate executor, which probes a fixed
             random sample).  Defaults to :meth:`surface_ids`.
+        kernels:
+            Backend running the membership test (NumPy when omitted).
+
+        Raises :class:`~repro.errors.SpatialIndexError` when the mesh was
+        restructured since the last refresh.  A surface-less mesh probes
+        nothing: every box gets no inside ids and no closest vertex.
         """
         if self.is_stale():
             raise SpatialIndexError(
@@ -245,26 +258,50 @@ class SurfaceIndex:
             )
         if ids is None:
             ids = self.surface_ids()
+        box_list = list(boxes)
         n_probed = int(ids.size)
-        if counters is not None:
-            counters.surface_probed += n_probed
+        if counters_list is not None:
+            for counters in counters_list:
+                counters.surface_probed += n_probed
         if n_probed == 0:
-            return SurfaceProbeOutcome(np.empty(0, dtype=np.int64), None, float("inf"), 0)
+            return [
+                SurfaceProbeOutcome(np.empty(0, dtype=np.int64), None, float("inf"))
+                for _ in box_list
+            ]
+        if kernels is None:
+            kernels = get_backend("numpy")
+        los, his = boxes_to_arrays(box_list)
         positions = self._mesh.vertices[ids]
-        inside_mask = points_in_box(positions, box)
-        inside_ids = ids[inside_mask]
-        if inside_ids.size:
-            return SurfaceProbeOutcome(inside_ids, None, 0.0, n_probed)
-        # Select the closest vertex on *squared* distances through the same
-        # kernel the batched probe broadcasts, so sequential and batched paths
-        # pick bit-identical argmins even on sqrt-rounding near-ties.
-        distances_sq = points_boxes_distance_sq(positions, box.lo[None, :], box.hi[None, :])[0]
-        if counters is not None:
-            counters.probe_distance_computations += n_probed
-        closest_pos = int(np.argmin(distances_sq))
-        return SurfaceProbeOutcome(
-            np.empty(0, dtype=np.int64),
-            int(ids[closest_pos]),
-            float(np.sqrt(distances_sq[closest_pos])),
-            n_probed,
-        )
+        no_ids = np.empty(0, dtype=np.int64)
+        outcomes: list[SurfaceProbeOutcome] = []
+        chunk = box_batch_chunk(n_probed)
+        for lo_index in range(0, len(box_list), chunk):
+            hi_index = min(lo_index + chunk, len(box_list))
+            inside = kernels.points_in_boxes(
+                positions, los[lo_index:hi_index], his[lo_index:hi_index]
+            )
+            hits = inside.any(axis=1)
+            misses = np.nonzero(~hits)[0]
+            if misses.size:
+                # Squared distances keep the argmin and skip the square root
+                # over the whole surface.
+                distances_sq = points_boxes_distance_sq(
+                    positions, los[lo_index + misses], his[lo_index + misses]
+                )
+                nearest = np.argmin(distances_sq, axis=1)
+            miss_rank = np.cumsum(~hits) - 1
+            for row in range(hi_index - lo_index):
+                if hits[row]:
+                    outcomes.append(SurfaceProbeOutcome(ids[inside[row]], None, 0.0))
+                    continue
+                k = miss_rank[row]
+                outcomes.append(
+                    SurfaceProbeOutcome(
+                        no_ids,
+                        int(ids[nearest[k]]),
+                        float(np.sqrt(distances_sq[k, nearest[k]])),
+                    )
+                )
+                if counters_list is not None:
+                    counters_list[lo_index + row].probe_distance_computations += n_probed
+        return outcomes

@@ -106,8 +106,8 @@ def build_strategy(
         then validates deltas before trusting them incrementally).
     kernels:
         Kernel backend for the batched hot loops — a
-        :class:`~repro.kernels.KernelBackend`, a spec string (``"numba"``,
-        ``"numpy:float32"``), or ``None`` for the ``REPRO_KERNEL_BACKEND``
+        :class:`~repro.kernels.KernelBackend`, a spec string (``"numpy"``,
+        ``"numba"``), or ``None`` for the ``REPRO_KERNEL_BACKEND``
         environment default.  Forwarded only to the strategies in
         :data:`KERNEL_AWARE_STRATEGIES`; silently ignored for the baselines
         (which have no batched kernels), so one spec can be passed uniformly

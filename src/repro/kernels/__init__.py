@@ -19,13 +19,7 @@ without touching the engine logic:
   records ``requested="numba"`` / ``compiled=False`` and behaves exactly
   like the default, so code written against the numba spec runs anywhere.
 
-Backends are selected by a spec string ``"<name>[:<dtype>]"``:
-
-* ``"numpy"`` / ``"numba"`` — backend name (float64 positions);
-* ``"numpy:float32"`` / ``"numba:float32"`` — the optional float32 position
-  mode: candidate positions and box corners are cast to float32 inside the
-  kernels, distances are computed in float32 and upcast to float64 on
-  return.
+Backends are selected by name: ``"numpy"`` or ``"numba"``.
 
 Resolution order of :func:`get_backend`: an explicit spec (or an already
 constructed backend) wins, then the ``REPRO_KERNEL_BACKEND`` environment
@@ -35,12 +29,8 @@ OCTOPUS and OCTOPUS-CON; the baselines always run the NumPy path).
 
 Exactness contract
 ------------------
-For float64 specs every backend is **bit-identical** to the NumPy reference:
-same result ids, same counters, same frontier order.  The float32 mode is
-*not* bit-identical — positions within one float32 ulp of a box face can
-flip membership, and walk distances lose precision — so it trades a
-documented tolerance for bandwidth; see the "Raw-speed tier" section of
-``docs/performance.md`` for the semantics and when the trade is safe.
+Every backend is **bit-identical** to the NumPy reference: same result ids,
+same counters, same frontier order.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ import os
 import numpy as np
 
 from ..errors import QueryError
-from ..mesh.geometry import box_batch_chunk, points_in_boxes as _points_in_boxes_f64
+from ..mesh.geometry import box_batch_chunk, points_in_boxes as _points_in_boxes
 
 __all__ = [
     "KernelBackend",
@@ -59,24 +49,18 @@ __all__ = [
     "numba_available",
 ]
 
-#: accepted dtype suffixes of a backend spec string
-_DTYPE_SPECS = {
-    "": np.float64,
-    "float64": np.float64,
-    "f64": np.float64,
-    "float32": np.float32,
-    "f32": np.float32,
-}
+#: the accepted backend spec strings
+_SPECS = ("numpy", "numba")
 
 
 class KernelBackend:
     """The NumPy reference kernels (and the base class of every backend).
 
-    A backend owns the three hot loops of the fused query paths.  Float64
-    instances of this class *are* the historical NumPy code paths —
-    executors constructed without a spec lose nothing.  Subclasses override
-    the three kernel methods; everything else (dtype plumbing, spec
-    formatting, registry behaviour) is shared.
+    A backend owns the three hot loops of the fused query paths.  Instances
+    of this class *are* the historical NumPy code paths — executors
+    constructed without a spec lose nothing.  Subclasses override the three
+    kernel methods; everything else (spec formatting, registry behaviour) is
+    shared.
 
     Attributes
     ----------
@@ -88,21 +72,12 @@ class KernelBackend:
     compiled:
         Whether the kernel bodies are machine-compiled (always ``False``
         for the NumPy reference).
-    dtype:
-        ``np.float64`` or ``np.float32`` — the precision positions and box
-        corners are cast to inside the kernels.
     """
 
     name = "numpy"
     compiled = False
 
-    def __init__(self, dtype=np.float64, requested: str | None = None) -> None:
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise QueryError(
-                f"kernel backends support float64 and float32 positions, got {dtype}"
-            )
-        self.dtype = dtype
+    def __init__(self, requested: str | None = None) -> None:
         self.requested = requested if requested is not None else self.name
 
     # ------------------------------------------------------------------
@@ -111,8 +86,7 @@ class KernelBackend:
     @property
     def spec(self) -> str:
         """The canonical spec string this backend answers to."""
-        suffix = ":float32" if self.dtype == np.dtype(np.float32) else ""
-        return f"{self.name}{suffix}"
+        return self.name
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -121,31 +95,15 @@ class KernelBackend:
         )
 
     # ------------------------------------------------------------------
-    # dtype plumbing
-    # ------------------------------------------------------------------
-    def _cast(self, array: np.ndarray) -> np.ndarray:
-        """``array`` in the backend dtype (no copy when already float64)."""
-        return np.ascontiguousarray(array, dtype=self.dtype)
-
-    # ------------------------------------------------------------------
     # kernel 1: batched box membership
     # ------------------------------------------------------------------
     def points_in_boxes(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Membership of ``(n, 3)`` points in each of ``(m, 3)`` lo/hi boxes.
 
         Returns an ``(m, n)`` boolean mask, exactly like
-        :func:`repro.mesh.points_in_boxes`; the float32 mode compares
-        float32-cast coordinates against float32-cast corners.
+        :func:`repro.mesh.points_in_boxes`.
         """
-        if self.dtype == np.dtype(np.float64):
-            return _points_in_boxes_f64(points, los, his)
-        pts = self._cast(points)
-        los32, his32 = self._cast(los), self._cast(his)
-        xs, ys, zs = pts[:, 0], pts[:, 1], pts[:, 2]
-        inside = (xs >= los32[:, 0, None]) & (xs <= his32[:, 0, None])
-        inside &= (ys >= los32[:, 1, None]) & (ys <= his32[:, 1, None])
-        inside &= (zs >= los32[:, 2, None]) & (zs <= his32[:, 2, None])
-        return inside
+        return _points_in_boxes(points, los, his)
 
     # ------------------------------------------------------------------
     # kernel 2: fused-walk pair distances
@@ -162,23 +120,14 @@ class KernelBackend:
 
         The fused walk's distance kernel: for every pair, the Euclidean
         distance from ``positions[vertex]`` to the owner query's box, with
-        the exact arithmetic of :func:`repro.mesh.points_box_distance`.
-        Distances are always returned as float64 (float32 backends compute
-        in float32 and upcast); the distinct-vertex count is returned for
-        the unique-work accounting.
+        the exact arithmetic of :func:`repro.mesh.points_box_distance`; the
+        distinct-vertex count is returned for the unique-work accounting.
         """
         unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
         points = positions[unique_vertices][inverse]
-        if self.dtype == np.dtype(np.float64):
-            delta = np.maximum(los[pair_owners] - points, 0.0)
-            delta += np.maximum(points - his[pair_owners], 0.0)
-            return np.linalg.norm(delta, axis=1), int(unique_vertices.size)
-        points = points.astype(np.float32, copy=False)
-        lo32 = los[pair_owners].astype(np.float32)
-        hi32 = his[pair_owners].astype(np.float32)
-        delta = np.maximum(lo32 - points, 0.0) + np.maximum(points - hi32, 0.0)
-        distances = np.linalg.norm(delta, axis=1)
-        return distances.astype(np.float64, copy=False), int(unique_vertices.size)
+        delta = np.maximum(los[pair_owners] - points, 0.0)
+        delta += np.maximum(points - his[pair_owners], 0.0)
+        return np.linalg.norm(delta, axis=1), int(unique_vertices.size)
 
     # ------------------------------------------------------------------
     # kernel 3: fused-crawl stamp-and-test
@@ -264,9 +213,9 @@ class KernelBackend:
         return out
 
 
-#: constructed backends, keyed by (name, dtype, compiled) so repeated
-#: get_backend() calls share instances (and their JIT caches)
-_BACKENDS: dict[tuple[str, str], KernelBackend] = {}
+#: constructed backends, keyed by name so repeated get_backend() calls share
+#: instances (and their JIT caches)
+_BACKENDS: dict[str, KernelBackend] = {}
 
 
 def numba_available() -> bool:
@@ -285,9 +234,8 @@ def get_backend(spec: "KernelBackend | str | None" = None) -> KernelBackend:
     """Resolve a backend spec to a (cached) :class:`KernelBackend` instance.
 
     ``spec`` may be an already constructed backend (returned unchanged), a
-    spec string (``"numpy"``, ``"numba"``, ``"numpy:float32"``,
-    ``"numba:float32"``), or ``None`` — which consults the
-    ``REPRO_KERNEL_BACKEND`` environment variable and falls back to
+    spec string (``"numpy"`` or ``"numba"``), or ``None`` — which consults
+    the ``REPRO_KERNEL_BACKEND`` environment variable and falls back to
     ``"numpy"``.  Requesting ``"numba"`` without numba installed is **not**
     an error: the NumPy backend is returned with ``requested="numba"`` and
     ``compiled=False``, so deployments can pin the spec unconditionally.
@@ -296,33 +244,23 @@ def get_backend(spec: "KernelBackend | str | None" = None) -> KernelBackend:
         return spec
     if spec is None:
         spec = os.environ.get("REPRO_KERNEL_BACKEND", "").strip() or "numpy"
-    base, _, dtype_suffix = str(spec).partition(":")
-    base = base.strip().lower() or "numpy"
-    dtype_suffix = dtype_suffix.strip().lower()
-    try:
-        dtype = _DTYPE_SPECS[dtype_suffix]
-    except KeyError:
+    name = str(spec).strip().lower() or "numpy"
+    if name not in _SPECS:
         raise QueryError(
-            f"unknown kernel dtype suffix {dtype_suffix!r} in spec {spec!r}; "
-            f"expected one of {sorted(s for s in _DTYPE_SPECS if s)}"
-        ) from None
-    if base not in ("numpy", "numba"):
-        raise QueryError(
-            f"unknown kernel backend {base!r} in spec {spec!r}; expected 'numpy' or 'numba'"
+            f"unknown kernel backend spec {spec!r}; expected one of {list(_SPECS)}"
         )
-    key = (base, np.dtype(dtype).name)
-    backend = _BACKENDS.get(key)
+    backend = _BACKENDS.get(name)
     if backend is None:
-        if base == "numba":
+        if name == "numba":
             from .numba_backend import NUMBA_AVAILABLE, NumbaKernels
 
             if NUMBA_AVAILABLE:
-                backend = NumbaKernels(dtype=dtype)
+                backend = NumbaKernels()
             else:
                 # Clean fallback: numba requested but absent — run NumPy and
                 # say so, instead of failing environments without the JIT.
-                backend = KernelBackend(dtype=dtype, requested="numba")
+                backend = KernelBackend(requested="numba")
         else:
-            backend = KernelBackend(dtype=dtype)
-        _BACKENDS[key] = backend
+            backend = KernelBackend()
+        _BACKENDS[name] = backend
     return backend

@@ -13,8 +13,7 @@ Exactness: for float64 inputs every body reproduces the NumPy reference
 bit-for-bit.  The distance kernel accumulates the three axis terms in the
 same order as ``np.linalg.norm(delta, axis=1)`` (x², then +y², then +z²)
 and ``max(lo - p, p - hi, 0)`` equals ``max(lo - p, 0) + max(p - hi, 0)``
-exactly because at most one operand is positive for a valid box.  The
-float32 mode runs the identical loops on float32-cast inputs.
+exactly because at most one operand is positive for a valid box.
 """
 
 from __future__ import annotations
@@ -60,32 +59,28 @@ def _points_in_boxes_body(xs, ys, zs, los, his, out):
     return out
 
 
-def _pair_box_distances_body(points, pair_owners, los, his, zero, out):
-    """Distance of pair ``i``'s point to its owner box, into ``out[i]``.
-
-    ``zero`` is a scalar of the working dtype so the clamp stays in that
-    dtype under numba's type unification.
-    """
+def _pair_box_distances_body(points, pair_owners, los, his, out):
+    """Distance of pair ``i``'s point to its owner box, into ``out[i]``."""
     for i in range(points.shape[0]):
         q = pair_owners[i]
         d0 = los[q, 0] - points[i, 0]
         b0 = points[i, 0] - his[q, 0]
         if b0 > d0:
             d0 = b0
-        if d0 < zero:
-            d0 = zero
+        if d0 < 0.0:
+            d0 = 0.0
         d1 = los[q, 1] - points[i, 1]
         b1 = points[i, 1] - his[q, 1]
         if b1 > d1:
             d1 = b1
-        if d1 < zero:
-            d1 = zero
+        if d1 < 0.0:
+            d1 = 0.0
         d2 = los[q, 2] - points[i, 2]
         b2 = points[i, 2] - his[q, 2]
         if b2 > d2:
             d2 = b2
-        if d2 < zero:
-            d2 = zero
+        if d2 < 0.0:
+            d2 = 0.0
         total = d0 * d0
         total = total + d1 * d1
         total = total + d2 * d2
@@ -203,14 +198,14 @@ class NumbaKernels(KernelBackend):
 
     name = "numba"
 
-    def __init__(self, dtype=np.float64, force_interpreted: bool = False) -> None:
+    def __init__(self, force_interpreted: bool = False) -> None:
         if not NUMBA_AVAILABLE and not force_interpreted:
             raise QueryError(
                 "numba is not installed; use get_backend('numba') for the clean "
                 "NumPy fallback, or NumbaKernels(force_interpreted=True) to run "
                 "the kernel bodies as interpreted Python (tests only)"
             )
-        super().__init__(dtype=dtype)
+        super().__init__()
         self.compiled = NUMBA_AVAILABLE and not force_interpreted
         if self.compiled:
             self._points_in_boxes_kernel = _points_in_boxes_jit
@@ -222,14 +217,13 @@ class NumbaKernels(KernelBackend):
             self._crawl_stamp_and_test_kernel = _crawl_stamp_and_test_body
 
     def points_in_boxes(self, points: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        pts = self._cast(points)
-        out = np.empty((los.shape[0], pts.shape[0]), dtype=np.bool_)
+        out = np.empty((los.shape[0], points.shape[0]), dtype=np.bool_)
         self._points_in_boxes_kernel(
-            np.ascontiguousarray(pts[:, 0]),
-            np.ascontiguousarray(pts[:, 1]),
-            np.ascontiguousarray(pts[:, 2]),
-            self._cast(los),
-            self._cast(his),
+            np.ascontiguousarray(points[:, 0]),
+            np.ascontiguousarray(points[:, 1]),
+            np.ascontiguousarray(points[:, 2]),
+            np.ascontiguousarray(los),
+            np.ascontiguousarray(his),
             out,
         )
         return out
@@ -243,17 +237,16 @@ class NumbaKernels(KernelBackend):
         his: np.ndarray,
     ) -> tuple[np.ndarray, int]:
         unique_vertices, inverse = np.unique(pair_vertices, return_inverse=True)
-        points = self._cast(positions[unique_vertices][inverse])
-        out = np.empty(points.shape[0], dtype=self.dtype)
+        points = positions[unique_vertices][inverse]
+        out = np.empty(points.shape[0], dtype=np.float64)
         self._pair_box_distances_kernel(
             points,
             np.ascontiguousarray(pair_owners),
-            self._cast(los),
-            self._cast(his),
-            self.dtype.type(0.0),
+            np.ascontiguousarray(los),
+            np.ascontiguousarray(his),
             out,
         )
-        return out.astype(np.float64, copy=False), int(unique_vertices.size)
+        return out, int(unique_vertices.size)
 
     def crawl_stamp_and_test(
         self,
@@ -279,7 +272,7 @@ class NumbaKernels(KernelBackend):
                 np.empty((0, n_words), dtype=np.uint64),
                 0,
             )
-        points = self._cast(positions[candidates])
+        points = positions[candidates]
         frontier_out = np.empty(n_candidates, dtype=np.int64)
         frontier_bits_out = np.empty((n_candidates, n_words), dtype=np.uint64)
         n_fresh, n_frontier = self._crawl_stamp_and_test_kernel(
@@ -289,8 +282,8 @@ class NumbaKernels(KernelBackend):
             word_columns,
             epoch,
             points,
-            self._cast(los),
-            self._cast(his),
+            np.ascontiguousarray(los),
+            np.ascontiguousarray(his),
             visited_per_query,
             frontier_out,
             frontier_bits_out,

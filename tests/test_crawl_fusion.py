@@ -2,8 +2,8 @@
 
 The fused shared-frontier BFS must be a pure *work-sharing* optimisation:
 
-* per-query results and counters are bit-identical to independent
-  :func:`~repro.core.crawler.crawl` calls;
+* per-query results and counters are bit-identical to independent width-1
+  ``crawl_many`` calls (the engine's one-query branch);
 * the per-query counters sum exactly to the batch's *attributed* work (each
   fused operation counted once per owning query);
 * the *unique* work the fused BFS actually performed never exceeds the
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from single_query import crawl_one
 
-from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl, crawl_many
+from repro.core import CrawlScratch, OctopusExecutor, QueryCounters, crawl_many
 from repro.core.crawler import GROUP_SIZE
 from repro.mesh import Box3D, points_in_box
 from repro.workloads import random_query_workload
@@ -32,7 +33,7 @@ def _start_sets(mesh, boxes, per_box=2):
 
 def _independent_crawls(mesh, boxes, starts):
     scratch = CrawlScratch()
-    return [crawl(mesh, box, s, scratch=scratch) for box, s in zip(boxes, starts)]
+    return [crawl_one(mesh, box, s, scratch=scratch) for box, s in zip(boxes, starts)]
 
 
 def _overlapping_boxes(mesh, n_boxes=12, seed=0):
@@ -59,13 +60,26 @@ class TestFusedCrawlParity:
             assert counter.crawl_vertices_visited == expected.n_vertices_visited
             assert counter.crawl_edges_followed == expected.n_edges_followed
 
+    def test_width_one_batch_accounting(self, neuron_small):
+        """A single query owns all the work: unique equals attributed."""
+        box = random_query_workload(neuron_small, selectivity=0.02, n_queries=1, seed=8).boxes[0]
+        starts = _start_sets(neuron_small, [box])
+        counters = QueryCounters()
+        batch = crawl_many(neuron_small, [box], starts, [counters])
+        (outcome,) = batch.outcomes
+        assert outcome.n_vertices_visited > 0 and batch.n_words == 1
+        assert batch.n_unique_vertices_visited == batch.n_attributed_vertex_visits
+        assert batch.n_unique_edges_followed == batch.n_attributed_edge_follows
+        assert counters.crawl_vertices_visited == outcome.n_vertices_visited
+        assert counters.crawl_edges_followed == outcome.n_edges_followed
+
     def test_empty_starts_and_empty_batch(self, grid_mesh):
         box = Box3D((0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
         batch = crawl_many(grid_mesh, [box], [np.empty(0, dtype=np.int64)])
         assert batch.outcomes[0].result_ids.size == 0
         assert batch.outcomes[0].n_vertices_visited == 0
         empty = crawl_many(grid_mesh, [], [])
-        assert empty.outcomes == [] and empty.n_groups == 0
+        assert empty.outcomes == [] and empty.n_words == 0
 
     def test_batch_larger_than_one_word_stays_one_fused_group(self, grid_mesh):
         """>64 queries widen the ownership rows instead of chunking the batch."""
@@ -77,11 +91,14 @@ class TestFusedCrawlParity:
         starts = _start_sets(grid_mesh, boxes, per_box=1)
         independent = _independent_crawls(grid_mesh, boxes, starts)
         batch = crawl_many(grid_mesh, boxes, starts)
-        assert batch.n_groups == 1
         assert batch.n_words == 2
-        for got, expected in zip(batch.outcomes, independent):
+        for box, got, expected in zip(boxes, batch.outcomes, independent):
             assert np.array_equal(got.result_ids, expected.result_ids)
             assert got.n_vertices_visited == expected.n_vertices_visited
+            # The grid is convex, so a crawl from inside retrieves the box.
+            assert np.array_equal(
+                got.result_ids, np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
+            )
 
     def test_multi_word_batch_counters_bit_identical(self, grid_mesh):
         """Counter parity through the multi-word path, words exceeding two."""
@@ -104,7 +121,7 @@ class TestFusedCrawlParity:
         """Work sharing spans word boundaries: 70 copies cost one crawl."""
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         starts = _start_sets(grid_mesh, [box], per_box=1)[0]
-        single = crawl(grid_mesh, box, starts)
+        single = crawl_one(grid_mesh, box, starts)
         n_copies = GROUP_SIZE + 6
         batch = crawl_many(grid_mesh, [box] * n_copies, [starts] * n_copies)
         assert batch.n_words == 2
@@ -163,7 +180,7 @@ class TestFusionWorkInvariants:
         """N copies of the same query cost one crawl of unique work."""
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         starts = _start_sets(grid_mesh, [box], per_box=1)[0]
-        single = crawl(grid_mesh, box, starts)
+        single = crawl_one(grid_mesh, box, starts)
         n_copies = 10
         batch = crawl_many(grid_mesh, [box] * n_copies, [starts] * n_copies)
         assert batch.n_unique_vertices_visited == single.n_vertices_visited

@@ -4,10 +4,8 @@ The acceptance contract of the kernel layer: under the ``"numba"`` spec every
 strategy answers every query with the same result ids and the same counters
 as the NumPy default (bit-identical — in environments without numba the spec
 falls back to NumPy, which makes the pin trivially true there and a real
-compiled-vs-reference check on CI's numba leg), and under ``"numpy:float32"``
-a margin-safe workload (no vertex within float32 resolution of a box face)
-returns identical result sets.  ``build_strategy`` accepts the spec uniformly
-for every strategy name; the baselines simply ignore it.
+compiled-vs-reference check on CI's numba leg).  ``build_strategy`` accepts
+the spec uniformly for every strategy name; the baselines simply ignore it.
 """
 
 import os
@@ -26,10 +24,9 @@ ALL_STRATEGIES = sorted(STRATEGY_FACTORIES)
 #: like the other parity suites
 PARITY_SEED = int(os.environ.get("REPRO_PARITY_SEED", "0"))
 
-#: margin-safe workload: mesh vertices sit on the 0.2 lattice of the unit
-#: cube, box faces sit ≥ 0.01 away from every lattice plane — five orders of
-#: magnitude above float32 resolution, so float32 membership cannot flip.
-#: The set exercises probe hits, probe misses with interior targets (walks),
+#: hand-placed workload: mesh vertices sit on the 0.2 lattice of the unit
+#: cube, box faces sit ≥ 0.01 away from every lattice plane.  The set
+#: exercises probe hits, probe misses with interior targets (walks),
 #: overlapping boxes (fused-crawl sharing) and a fully external box.
 BOXES = [
     Box3D((0.11, 0.11, 0.11), (0.52, 0.52, 0.52)),
@@ -42,7 +39,7 @@ BOXES = [
 
 
 def _seeded_boxes(n_boxes: int = 8) -> list[Box3D]:
-    """Arbitrary seed-driven boxes — no margin safety, float64 specs only."""
+    """Arbitrary seed-driven boxes (faces anywhere relative to the lattice)."""
     rng = np.random.default_rng(900 + PARITY_SEED)
     boxes = []
     for _ in range(n_boxes):
@@ -76,18 +73,22 @@ def test_numba_spec_is_bit_identical(mesh, name):
         assert got.complete == expected.complete
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGIES)
-def test_float32_matches_on_margin_safe_workload(mesh, name):
-    reference, _ = _run(name, mesh, kernels=None)
-    under_test, _ = _run(name, mesh, kernels="numpy:float32")
-    for expected, got in zip(reference, under_test):
-        assert np.array_equal(got.vertex_ids, expected.vertex_ids)
+@pytest.mark.parametrize("spec", ["numpy", "numba"])
+@pytest.mark.parametrize("name", sorted(KERNEL_AWARE_STRATEGIES))
+def test_width_one_matches_the_batch_under_each_spec(mesh, name, spec):
+    # A single box takes the engine's NumPy one-query branches; a batch runs
+    # the spec's kernels.  Either way each box gets the same answer.
+    batched, single = _run(name, mesh, kernels=spec, boxes=BOXES + _seeded_boxes())
+    for many, one in zip(batched, single):
+        assert np.array_equal(one.vertex_ids, many.vertex_ids)
+        assert one.counters == many.counters
+        assert one.complete == many.complete
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_AWARE_STRATEGIES))
 def test_kernel_aware_strategies_carry_the_backend(mesh, name):
-    strategy = build_strategy(name, kernels="numpy:float32")
-    assert strategy.kernels is get_backend("numpy:float32")
+    strategy = build_strategy(name, kernels="numba")
+    assert strategy.kernels is get_backend("numba")
     # And the default resolves through the environment exactly once, at
     # construction.
     assert build_strategy(name).kernels is get_backend("numpy")
@@ -102,6 +103,6 @@ def test_baselines_ignore_the_spec(mesh, name):
 
 
 def test_environment_spec_reaches_executors(mesh, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy:float32")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
     strategy = build_strategy("octopus")
-    assert strategy.kernels.dtype == np.float32
+    assert strategy.kernels is get_backend("numba")

@@ -30,50 +30,43 @@ class TestBackendRegistry:
         assert backend.name == "numpy"
         assert backend.requested == "numpy"
         assert backend.spec == "numpy"
-        assert backend.dtype == np.dtype(np.float64)
         assert backend.compiled is False
 
     def test_instances_pass_through(self):
-        backend = KernelBackend(dtype=np.float32)
+        backend = KernelBackend()
         assert get_backend(backend) is backend
 
     def test_specs_are_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend("numpy:f32") is get_backend("numpy:float32")
-        assert get_backend("numpy") is not get_backend("numpy:float32")
+        assert get_backend(" NumPy ") is get_backend("numpy")
+        assert get_backend("numpy") is not get_backend("numba")
 
     def test_environment_variable_is_the_default_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy:float32")
-        assert get_backend().dtype == np.dtype(np.float32)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+        assert get_backend().requested == "numba"
         monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert get_backend().dtype == np.dtype(np.float64)
+        assert get_backend().requested == "numpy"
 
     def test_explicit_spec_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy:float32")
-        assert get_backend("numpy").dtype == np.dtype(np.float64)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+        assert get_backend("numpy").requested == "numpy"
 
     @pytest.mark.parametrize("suffix", ["float64", "f64"])
     def test_float64_suffixes(self, suffix):
-        assert get_backend(f"numpy:{suffix}").dtype == np.dtype(np.float64)
+        # Every backend computes in float64; dtype suffixes are not specs.
+        with pytest.raises(QueryError, match=r"\['numpy', 'numba'\]"):
+            get_backend(f"numpy:{suffix}")
 
     @pytest.mark.parametrize("suffix", ["float32", "f32"])
     def test_float32_suffixes(self, suffix):
-        backend = get_backend(f"numpy:{suffix}")
-        assert backend.dtype == np.dtype(np.float32)
-        assert backend.spec == "numpy:float32"
+        # There is no float32 mode: the error names the accepted specs.
+        with pytest.raises(QueryError, match=r"\['numpy', 'numba'\]"):
+            get_backend(f"numpy:{suffix}")
 
     @pytest.mark.parametrize("spec", ["fortran", "numpy:float16", "numba:int8", "numpy:"])
     def test_invalid_specs_raise(self, spec):
-        if spec == "numpy:":
-            # A trailing colon selects the default dtype rather than erroring.
-            assert get_backend(spec).dtype == np.dtype(np.float64)
-        else:
-            with pytest.raises(QueryError):
-                get_backend(spec)
-
-    def test_unsupported_dtype_rejected_at_construction(self):
         with pytest.raises(QueryError):
-            KernelBackend(dtype=np.int64)
+            get_backend(spec)
 
     def test_numba_request_never_fails(self):
         backend = get_backend("numba")
@@ -230,39 +223,3 @@ class TestKernelBodyParity:
         assert frontier_bits.shape == (0, 1)
         assert n_fresh == 0
         assert visited.sum() == 0
-
-
-class TestFloat32Mode:
-    def test_distances_returned_as_float64_within_tolerance(self, rng):
-        f64 = get_backend("numpy")
-        f32 = get_backend("numpy:float32")
-        positions = rng.uniform(size=(300, 3))
-        pair_vertices = rng.integers(0, 300, size=400)
-        pair_owners = rng.integers(0, 7, size=400)
-        los, his = _random_boxes(rng, 7)
-        exact, _ = f64.pair_box_distances(positions, pair_vertices, pair_owners, los, his)
-        approx, _ = f32.pair_box_distances(positions, pair_vertices, pair_owners, los, his)
-        assert approx.dtype == np.float64
-        assert np.allclose(approx, exact, rtol=1e-5, atol=1e-6)
-
-    def test_membership_can_flip_within_one_float32_ulp(self):
-        # The documented tolerance: a point one float64 ulp outside the box
-        # rounds onto the face in float32 and flips to "inside".
-        f64 = get_backend("numpy")
-        f32 = get_backend("numpy:float32")
-        los = np.array([[0.0, 0.0, 0.0]])
-        his = np.array([[1.0, 1.0, 1.0]])
-        point = np.array([[np.nextafter(1.0, 2.0), 0.5, 0.5]])
-        assert not f64.points_in_boxes(point, los, his)[0, 0]
-        assert f32.points_in_boxes(point, los, his)[0, 0]
-
-    def test_interior_membership_agrees(self, rng):
-        f64 = get_backend("numpy")
-        f32 = get_backend("numpy:float32")
-        points = rng.uniform(size=(500, 3))
-        los, his = _random_boxes(rng, 11)
-        # Random uniform points essentially never land within a float32 ulp
-        # of a face, so the masks agree wholesale.
-        assert np.array_equal(
-            f32.points_in_boxes(points, los, his), f64.points_in_boxes(points, los, his)
-        )

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from single_query import crawl_one
 
 from repro.baselines import LinearScanExecutor, Octree, RTree
-from repro.core import OctopusExecutor, crawl
+from repro.core import OctopusExecutor
 from repro.generators import structured_tetrahedral_mesh
 from repro.mesh import (
     Box3D,
@@ -112,7 +113,7 @@ class TestQueryExecutionProperties:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_crawl_result_is_subset_of_box_content(self, box):
         starts = GRID.surface_vertices()
-        outcome = crawl(GRID, box, starts)
+        outcome = crawl_one(GRID, box, starts)
         if outcome.result_ids.size:
             assert np.all(points_in_box(GRID.vertices[outcome.result_ids], box))
 

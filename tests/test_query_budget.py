@@ -1,8 +1,8 @@
-"""Budget parity: fused batches and sequential queries spend count budgets identically.
+"""Budget parity: fused batches and single queries spend count budgets identically.
 
 One :class:`~repro.core.QueryBudget` tracker meters the walk *and* the crawl
 of each query, and the fused batch paths charge the same per-query counts as
-their sequential equivalents — so a budget-truncated ``query_many`` returns
+the width-1 engine — so a budget-truncated ``query_many`` returns
 bit-identical partial results to per-box ``query`` calls.  Wall-clock budgets
 are deliberately excluded from the parity contract (they depend on machine
 timing, not on metered work).
@@ -64,7 +64,8 @@ class TestPartialParity:
 
         fused = make_executor("octopus", grid_mesh)
         fused.query_budget = budget
-        (many,) = fused.query_many([INTERIOR_BOX])
+        # A second probe miss makes the walk phase a fused (lockstep) batch.
+        many, _ = fused.query_many([INTERIOR_BOX, Box3D.cube((3.0, 3.0, 3.0), 0.2)])
 
         sequential = make_executor("octopus", grid_mesh)
         sequential.query_budget = budget

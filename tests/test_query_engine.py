@@ -5,16 +5,17 @@ Covers the performance layer added around the crawl:
 * the epoch-stamped :class:`CrawlScratch` arena (no O(n_vertices) allocation
   per query, identical results to fresh-allocation crawls, survival across
   mesh restructuring epochs);
-* the batched ``query_many`` API (equality with sequential ``query`` for
+* the batched ``query_many`` API (equality with width-1 ``query`` for
   OCTOPUS, OCTOPUS-CON and baselines, counter parity, harness wiring);
-* the vectorised hot paths (``AdjacencyList.relabeled``, the beam
-  ``directed_walk``, the grid's ``locate_batch``).
+* the vectorised hot paths (``AdjacencyList.relabeled``, the beam walk of
+  ``directed_walk_many``, the grid's ``locate_batch``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from single_query import crawl_one, walk_one
 
 import repro.core.crawler as crawler_module
 from repro.baselines import (
@@ -28,10 +29,10 @@ from repro.core import (
     OctopusConExecutor,
     OctopusExecutor,
     QueryCounters,
-    crawl,
-    directed_walk,
 )
-from repro.mesh import AdjacencyList, Box3D, points_in_box
+from repro.errors import SpatialIndexError
+from repro.generators import structured_hexahedral_mesh, structured_tetrahedral_mesh
+from repro.mesh import AdjacencyList, Box3D, TetrahedralMesh, points_in_box
 from repro.simulation import DeformationDelta, remove_cells
 from repro.workloads import random_query_workload
 
@@ -39,46 +40,46 @@ from repro.workloads import random_query_workload
 class TestCrawlScratch:
     def test_acquire_grows_and_bumps_epoch(self):
         scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(10)
+        stamps, _, epoch = scratch.acquire_batch(10)
         assert stamps.size >= 10 and epoch == 1
-        stamps2, epoch2 = scratch.acquire(10)
+        stamps2, _, epoch2 = scratch.acquire_batch(10)
         assert stamps2 is stamps and epoch2 == 2
 
     def test_acquire_regrows_for_larger_mesh(self):
         scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(8)
+        stamps, _, epoch = scratch.acquire_batch(8)
         stamps[3] = epoch
-        bigger, epoch2 = scratch.acquire(100)
+        bigger, _, epoch2 = scratch.acquire_batch(100)
         assert bigger.size >= 100
         # The grown arena starts clean: no vertex reads as visited.
         assert not (bigger[:100] == epoch2).any()
 
     def test_epoch_rollover_clears_stamps(self):
         scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(4)
+        stamps, _, epoch = scratch.acquire_batch(4)
         stamps[:] = epoch
-        scratch._epoch = np.iinfo(np.int32).max - 1
-        stamps2, epoch2 = scratch.acquire(4)
+        scratch._batch_epoch = np.iinfo(np.int32).max - 1
+        stamps2, _, epoch2 = scratch.acquire_batch(4)
         assert not (stamps2 == epoch2).any()
 
     def test_epoch_rollover_boundary_is_exact(self):
         """One epoch below the limit does not clear; at the limit it does."""
         scratch = CrawlScratch()
-        stamps, epoch = scratch.acquire(4)
+        stamps, _, epoch = scratch.acquire_batch(4)
         stamps[0] = epoch
-        scratch._epoch = np.iinfo(np.int32).max - 2
-        stamps2, epoch2 = scratch.acquire(4)
+        scratch._batch_epoch = np.iinfo(np.int32).max - 2
+        stamps2, _, epoch2 = scratch.acquire_batch(4)
         assert epoch2 == np.iinfo(np.int32).max - 1  # no clear yet
         stamps2[1] = epoch2
-        stamps3, epoch3 = scratch.acquire(4)
+        stamps3, _, epoch3 = scratch.acquire_batch(4)
         assert epoch3 == 1  # rollover happened
         assert not (stamps3 == epoch3).any()
 
     def test_capacity_survives_mesh_shrinkage(self):
         """A smaller mesh reuses the big arena instead of reallocating."""
         scratch = CrawlScratch()
-        big, _ = scratch.acquire(1000)
-        small, epoch = scratch.acquire(10)
+        big, _, _ = scratch.acquire_batch(1000)
+        small, _, epoch = scratch.acquire_batch(10)
         assert small is big  # capacity kept across shrinkage
         assert not (small[:10] == epoch).any()
 
@@ -92,10 +93,10 @@ class TestCrawlScratch:
             reference = LinearScanExecutor()
             reference.prepare(mesh)
             assert octopus.query(box).same_vertices_as(reference.query(box))
-            assert octopus.scratch._stamps.size >= mesh.n_vertices
+            assert octopus.scratch._batch_stamps.size >= mesh.n_vertices
         # Shrinking back keeps the larger capacity and stays correct.
         octopus.prepare(meshes[0])
-        capacity = octopus.scratch._stamps.size
+        capacity = octopus.scratch._batch_stamps.size
         assert capacity >= meshes[1].n_vertices
         box = Box3D.cube(meshes[0].vertices[0], 0.3)
         reference = LinearScanExecutor()
@@ -122,14 +123,12 @@ class TestCrawlScratch:
     def test_memory_accounting(self):
         scratch = CrawlScratch()
         assert scratch.memory_bytes() == 0
-        # Steady state: visited stamps (4) + batch stamps (4) + words (8).
-        assert scratch.expected_bytes(1000) == 16000
-        scratch.acquire(1000)
-        assert scratch.memory_bytes() >= 4000
+        # Steady state: batch stamps (4) + one ownership word (8).
+        assert scratch.expected_bytes(1000) == 12000
         scratch.acquire_batch(1000)
-        assert scratch.memory_bytes() >= 16000
-        # The estimate is stable before and after the arenas are touched.
-        assert scratch.expected_bytes(1000) == 16000
+        assert scratch.memory_bytes() >= 12000
+        # The estimate is stable before and after the arena is touched.
+        assert scratch.expected_bytes(1000) == 12000
 
 
 class TestScratchCrawlEquivalence:
@@ -141,8 +140,8 @@ class TestScratchCrawlEquivalence:
             starts = np.nonzero(points_in_box(neuron_small.vertices, box))[0][:5]
             fresh_counters = QueryCounters()
             shared_counters = QueryCounters()
-            fresh = crawl(neuron_small, box, starts, fresh_counters)
-            shared = crawl(neuron_small, box, starts, shared_counters, scratch=scratch)
+            fresh = crawl_one(neuron_small, box, starts, fresh_counters)
+            shared = crawl_one(neuron_small, box, starts, shared_counters, scratch=scratch)
             assert np.array_equal(fresh.result_ids, shared.result_ids)
             assert fresh_counters.as_dict() == shared_counters.as_dict()
 
@@ -153,8 +152,8 @@ class TestScratchCrawlEquivalence:
         box = Box3D((0.1, 0.1, 0.1), (0.8, 0.8, 0.8))
         for round_index in range(3):
             starts = np.nonzero(points_in_box(mesh.vertices, box))[0][:3]
-            fresh = crawl(mesh, box, starts)
-            shared = crawl(mesh, box, starts, scratch=scratch)
+            fresh = crawl_one(mesh, box, starts)
+            shared = crawl_one(mesh, box, starts, scratch=scratch)
             assert np.array_equal(fresh.result_ids, shared.result_ids)
             smaller, _ = remove_cells(mesh, np.arange(10 * (round_index + 1)))
             mesh.replace_cells(smaller.cells)
@@ -186,16 +185,16 @@ class TestScratchCrawlEquivalence:
         octopus.prepare(neuron_small)
         box = Box3D.cube(neuron_small.vertices[0], 0.3)
         octopus.query(box)
-        arena = octopus.scratch._stamps
-        epoch = octopus.scratch.epoch
+        arena = octopus.scratch._batch_stamps
+        epoch = octopus.scratch.batch_epoch
         octopus.query(box)
-        assert octopus.scratch._stamps is arena
-        assert octopus.scratch.epoch > epoch
+        assert octopus.scratch._batch_stamps is arena
+        assert octopus.scratch.batch_epoch > epoch
 
     def test_bare_crawl_still_correct_without_scratch(self, grid_mesh):
         box = Box3D((0.2, 0.2, 0.2), (0.7, 0.7, 0.7))
         inside = np.nonzero(points_in_box(grid_mesh.vertices, box))[0]
-        outcome = crawl(grid_mesh, box, inside[:1])
+        outcome = crawl_one(grid_mesh, box, inside[:1])
         assert np.array_equal(outcome.result_ids, inside)
 
 
@@ -303,6 +302,60 @@ class TestQueryMany:
         assert np.array_equal(his[4], workload.boxes[4].hi)
 
 
+class TestSingleQueryEngine:
+    """``query(box)`` is ``query_many([box])[0]``, with no fallback paths."""
+
+    @pytest.mark.parametrize("executor_class", [OctopusExecutor, OctopusConExecutor])
+    @pytest.mark.parametrize(
+        "mesh",
+        [structured_tetrahedral_mesh((7, 7, 7)), structured_hexahedral_mesh((6, 6, 6))],
+        ids=["tetrahedral", "hexahedral"],
+    )
+    def test_single_box_answers_equal_linear_scan_on_grids(self, executor_class, mesh):
+        executor = executor_class()
+        executor.prepare(mesh)
+        scan = LinearScanExecutor()
+        scan.prepare(mesh)
+        boxes = random_query_workload(mesh, selectivity=0.02, n_queries=12, seed=31).boxes
+        # An interior box the probe misses (OCTOPUS walks) and one off the mesh.
+        boxes += [Box3D.cube((0.5, 0.5, 0.5), 0.18), Box3D.cube((3.0, 3.0, 3.0), 0.2)]
+        for box in boxes:
+            assert np.array_equal(executor.query(box).vertex_ids, scan.query(box).vertex_ids)
+
+    def test_strategy_must_implement_query_or_query_many(self):
+        # Each is defined through the other; a strategy overriding neither
+        # would recurse forever, so the class is rejected when defined.
+        from repro.core import ExecutionStrategy
+
+        with pytest.raises(TypeError, match="query"):
+
+            class Neither(ExecutionStrategy):
+                pass
+
+    def test_stale_surface_index_raises_for_query_and_query_many(self, grid_mesh):
+        mesh = grid_mesh.copy()
+        octopus = OctopusExecutor()
+        octopus.prepare(mesh)
+        smaller, _ = remove_cells(mesh, np.arange(30))
+        mesh.replace_cells(smaller.cells)  # behind the executor's back
+        box = Box3D((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+        with pytest.raises(SpatialIndexError):
+            octopus.query(box)
+        with pytest.raises(SpatialIndexError):
+            octopus.query_many([box, Box3D.cube((0.5, 0.5, 0.5), 0.3)])
+
+    def test_surface_less_mesh_answers_empty(self, rng):
+        # Vertices without cells: no surface to probe, nothing to walk from.
+        mesh = TetrahedralMesh(rng.uniform(size=(20, 3)), np.empty((0, 4), dtype=np.int64))
+        octopus = OctopusExecutor()
+        octopus.prepare(mesh)
+        boxes = [Box3D.cube(mesh.vertices[i], 0.5) for i in range(3)]
+        for result in [octopus.query(boxes[0]), *octopus.query_many(boxes)]:
+            assert result.vertex_ids.size == 0
+            assert result.counters.surface_probed == 0
+            assert result.counters.probe_distance_computations == 0
+
+
 class TestVectorisedHotPaths:
     def test_relabeled_matches_per_vertex_reference(self, rng):
         """The CSR-permutation relabel equals the per-vertex reference."""
@@ -336,18 +389,18 @@ class TestVectorisedHotPaths:
 
     def test_directed_walk_multi_source(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        outcome = directed_walk(grid_mesh, box, np.array([0, 124]))
+        outcome = walk_one(grid_mesh, box, np.array([0, 124]))
         assert outcome.found_id is not None
         assert box.contains_point(grid_mesh.vertices[outcome.found_id])
 
     def test_directed_walk_beam_width_one_still_finds(self, grid_mesh):
         box = Box3D.cube((0.5, 0.5, 0.5), 0.3)
-        outcome = directed_walk(grid_mesh, box, 0, beam_width=1)
+        outcome = walk_one(grid_mesh, box, 0, beam_width=1)
         assert outcome.found_id is not None
 
     def test_directed_walk_rejects_bad_beam(self, grid_mesh):
         with pytest.raises(ValueError):
-            directed_walk(grid_mesh, Box3D.cube((0.5, 0.5, 0.5), 0.3), 0, beam_width=0)
+            walk_one(grid_mesh, Box3D.cube((0.5, 0.5, 0.5), 0.3), 0, beam_width=0)
 
     def test_grid_locate_batch_matches_any_vertex_near(self, earthquake_small):
         executor = OctopusConExecutor()

@@ -165,17 +165,18 @@ class TestThreadLocalScratch:
         scratch = ThreadLocalScratch()
         no_arena_estimate = scratch.expected_bytes(neuron_small.n_vertices)
         assert no_arena_estimate > 0
-        scratch.get().acquire(neuron_small.n_vertices)
+        scratch.get().acquire_batch(neuron_small.n_vertices)
         assert scratch.expected_bytes(neuron_small.n_vertices) >= no_arena_estimate
 
 
 class TestConcurrencyErrorGuard:
     def test_epoch_check_raises_on_foreign_epoch(self):
         scratch = CrawlScratch()
-        _, epoch = scratch.acquire(64)
-        scratch.check_epoch(epoch)  # own round: fine
+        _, _, epoch = scratch.acquire_batch(64)
+        scratch.check_batch_epoch(epoch)  # own round: fine
+        scratch.acquire_batch(64)  # another round moves the epoch
         with pytest.raises(ConcurrencyError, match="ThreadLocalScratch"):
-            scratch.check_epoch(epoch - 1)
+            scratch.check_batch_epoch(epoch)
 
     def test_batch_epoch_check_raises_on_foreign_epoch(self):
         scratch = CrawlScratch()
@@ -196,16 +197,22 @@ class TestConcurrencyErrorGuard:
     def test_shared_scratch_across_rounds_is_detected(self, neuron_small):
         # two interleaved crawls sharing one arena: the second round moves the
         # epoch, so resuming the first must fail loudly instead of corrupting
-        from repro.core import crawl
+        from single_query import crawl_one
 
         mesh = neuron_small
         mesh.adjacency  # noqa: B018 - build outside the guarded region
         scratch = CrawlScratch()
         box = mesh.bounding_box()
         seeds = np.arange(4, dtype=np.int64)
-        outcome = crawl(mesh, box, seeds, scratch=scratch)
+        outcome = crawl_one(mesh, box, seeds, scratch=scratch)
         assert outcome.result_ids.size > 0
-        stale_epoch = scratch.epoch
-        scratch.acquire(mesh.n_vertices)  # a "second thread" starts its round
+
+        class Intruder:
+            """A budget whose per-level charge lets a "second thread" acquire."""
+
+            def spend(self, vertices=0, distances=0):
+                scratch.acquire_batch(mesh.n_vertices)
+                return True
+
         with pytest.raises(ConcurrencyError):
-            scratch.check_epoch(stale_epoch)
+            crawl_one(mesh, box, seeds, scratch=scratch, budget=Intruder())

@@ -38,7 +38,7 @@ class TestProbe:
         counters = QueryCounters()
         # A slab hugging the x=0 face of the unit cube contains surface vertices.
         box = Box3D((0.0, 0.0, 0.0), (0.05, 1.0, 1.0))
-        outcome = index.probe(box, counters)
+        (outcome,) = index.probe_many([box], [counters])
         assert outcome.inside_ids.size > 0
         assert counters.surface_probed == len(index)
         positions = grid_mesh.vertices[outcome.inside_ids]
@@ -48,7 +48,7 @@ class TestProbe:
         index = SurfaceIndex(grid_mesh)
         # A small box strictly inside the cube, away from the surface lattice.
         box = Box3D.cube((0.5, 0.5, 0.5), 0.05)
-        outcome = index.probe(box)
+        outcome = index.probe_many([box])[0]
         assert outcome.inside_ids.size == 0
         assert outcome.closest_id is not None
         assert outcome.closest_distance > 0
@@ -57,11 +57,31 @@ class TestProbe:
         mesh = grid_mesh.copy()
         index = SurfaceIndex(mesh)
         box = Box3D((5.0, 5.0, 5.0), (6.0, 6.0, 6.0))
-        assert index.probe(box).inside_ids.size == 0
+        assert index.probe_many([box])[0].inside_ids.size == 0
         # Deform the mesh so that some surface vertices move into the box.
         mesh.displace(np.full_like(mesh.vertices, 5.0))
-        outcome = index.probe(box)
+        outcome = index.probe_many([box])[0]
         assert outcome.inside_ids.size > 0
+
+    def test_probe_many_matches_per_box_probes(self, grid_mesh):
+        """One broadcast probe equals width-1 probes box for box."""
+        index = SurfaceIndex(grid_mesh)
+        boxes = [
+            Box3D((0.0, 0.0, 0.0), (0.05, 1.0, 1.0)),  # hits the x=0 face
+            Box3D.cube((0.5, 0.5, 0.5), 0.05),  # interior: closest only
+            Box3D.cube((3.0, 3.0, 3.0), 0.5),  # off the mesh: closest only
+        ]
+        batch_counters = [QueryCounters() for _ in boxes]
+        batch = index.probe_many(boxes, batch_counters)
+        for box, got, counters in zip(boxes, batch, batch_counters):
+            single_counters = QueryCounters()
+            (want,) = index.probe_many([box], [single_counters])
+            assert np.array_equal(got.inside_ids, want.inside_ids)
+            assert got.closest_id == want.closest_id
+            assert got.closest_distance == want.closest_distance
+            assert counters.as_dict() == single_counters.as_dict()
+        assert batch_counters[0].probe_distance_computations == 0
+        assert batch_counters[1].probe_distance_computations == len(index)
 
     def test_probe_after_deformation_needs_no_maintenance(self, neuron_small, rng):
         mesh = neuron_small.copy()
@@ -93,7 +113,7 @@ class TestMaintenance:
         mesh.replace_cells(new_mesh.cells)
         assert index.is_stale()
         with pytest.raises(SpatialIndexError):
-            index.probe(mesh.bounding_box())
+            index.probe_many([mesh.bounding_box()])
         index.refresh_from_mesh()
         assert not index.is_stale()
         assert set(index.surface_ids().tolist()) == set(mesh.surface_vertices().tolist())

@@ -1,8 +1,8 @@
 """Parity and work invariants of the fused directed walk (``directed_walk_many``).
 
 The fused lockstep beam walk must be a pure *dispatch/work-sharing*
-optimisation over per-box :func:`~repro.core.directed_walk.directed_walk`
-calls:
+optimisation over per-box width-1 ``directed_walk_many`` calls (the engine's
+one-query branch):
 
 * per-query seed vertices, step counts, paths and counters are bit-identical
   to independent walks with the same arguments;
@@ -25,13 +25,13 @@ import os
 
 import numpy as np
 import pytest
+from single_query import walk_one
 
 from repro.core import (
     CrawlScratch,
     OctopusConExecutor,
     OctopusExecutor,
     QueryCounters,
-    directed_walk,
     directed_walk_many,
 )
 from repro.mesh import Box3D
@@ -90,10 +90,10 @@ def _walk_families(mesh, seed: int) -> dict[str, tuple[list[Box3D], list]]:
 
 
 def _assert_walk_parity(mesh, boxes, starts, **kwargs) -> None:
-    sequential_scratch = CrawlScratch()
+    single_scratch = CrawlScratch()
     expected_counters = [QueryCounters() for _ in boxes]
     expected = [
-        directed_walk(mesh, box, start, counters, scratch=sequential_scratch, **kwargs)
+        walk_one(mesh, box, start, counters, scratch=single_scratch, **kwargs)
         for box, start, counters in zip(boxes, starts, expected_counters)
     ]
     fused_counters = [QueryCounters() for _ in boxes]
@@ -164,6 +164,18 @@ class TestFusedWalkWork:
         batch = directed_walk_many(neuron_small, boxes, starts)
         assert batch.n_unique_distance_computations < batch.n_attributed_distance_computations
 
+    def test_width_one_batch_accounting(self, neuron_small):
+        """A single walker owns all the work: unique equals attributed."""
+        boxes, starts = _walk_families(neuron_small, seed=PARITY_SEED + 17)["interior"]
+        counters = QueryCounters()
+        batch = directed_walk_many(neuron_small, boxes[:1], starts[:1], [counters])
+        (outcome,) = batch.outcomes
+        assert outcome.n_steps >= 1
+        assert batch.n_unique_distance_computations == batch.n_attributed_distance_computations
+        assert batch.n_attributed_distance_computations == counters.walk_distance_computations
+        assert batch.n_unique_csr_gather_entries == batch.n_attributed_csr_gather_entries
+        assert outcome.n_steps <= batch.n_rounds <= outcome.n_steps + 1
+
     def test_rounds_bounded_by_longest_walk(self, neuron_small):
         boxes, starts = _walk_families(neuron_small, seed=PARITY_SEED + 5)["mixed"]
         batch = directed_walk_many(neuron_small, boxes, starts)
@@ -224,7 +236,7 @@ class TestExecutorFusedWalks:
 
     def test_over_64_query_executor_batch_single_fused_crawl(self, grid_mesh):
         """A 70-query batch runs as one fused crawl (2 ownership words) with
-        walk+crawl counters bit-identical to the sequential path."""
+        walk+crawl counters bit-identical to width-1 queries."""
         executor = OctopusConExecutor()
         executor.prepare(grid_mesh)
         rng = np.random.default_rng(PARITY_SEED + 101)
@@ -233,7 +245,6 @@ class TestExecutorFusedWalks:
         batched = executor.query_many(boxes)
         batch = executor.last_fused_crawl
         assert batch is not None
-        assert batch.n_groups == 1
         assert batch.n_words == 2
         for index, (got, want) in enumerate(zip(batched, sequential)):
             assert got.same_vertices_as(want), f"box {index}"
